@@ -4,17 +4,12 @@ Subcommands: plane | code | construct | analyze | antipodal | embed | suite.
 Every invocation writes one JSON run record to stdout (or --out) and a
 short human summary to stderr.  Usage errors exit 2, domain errors exit 1
 with a structured error in the record, success exits 0.
-
---threads (or PLANECODE_THREADS) caps worker counts; the current engines
-are single-process, so the flag is accepted and echoed but results never
-depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -258,17 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Projective plane codes, antipodal planes, and embeddability search",
     )
     ap.add_argument("--out", help="write the JSON run record here instead of stdout")
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("PLANECODE_THREADS", "1")),
-        help="worker cap (accepted for compatibility; engines are single-process)",
-    )
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # leaf parser from clobbering the top-level defaults
+    # --out is accepted after the subcommand too; SUPPRESS keeps the leaf
+    # parser from clobbering the top-level default
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plane", help="build or validate planes")

@@ -40,47 +40,79 @@ class BudgetExceededError(CodesError):
         )
 
 
-def _mod_inverse(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
+# Column-panel width of the elimination kernel.  A panel update sums up to
+# this many products of residues before it reduces, which bounds the
+# largest p the int64 kernel accepts (about 2^28).
+_PANEL = 32
+_INT64_LIMIT = 1 << 62
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns)."""
+    """Reduced row echelon form over GF(p); returns (rref, pivot columns).
+
+    Blocked, with delayed reduction as in FFLAS-FFPACK.  Inside each panel of
+    _PANEL columns, row operations act on the panel and on multipliers Z over
+    the panel's pivot rows as the panel found them (V).  The trailing columns
+    are then updated once: T <- (keep*T + Z@V) mod p, keep being 0 on the
+    pivot rows.  All arithmetic is exact int64.
+    """
+    if _PANEL * (p - 1) ** 2 + p >= _INT64_LIMIT:
+        raise CodesError(f"p = {p} is too large for the int64 elimination kernel")
     m = np.array(mat, dtype=np.int64) % p
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c0 in range(0, cols, _PANEL):
         if r >= rows:
             break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * _mod_inverse(int(m[r, c]), p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= p
-        pivots.append(c)
-        r += 1
-    return m[: len(pivots)], pivots
+        c1 = min(c0 + _PANEL, cols)
+        w = c1 - c0
+        a = np.zeros((rows, 2 * w), dtype=np.int64)  # [panel | Z]
+        a[:, :w] = m[:, c0:c1]
+        src: list[int] = []  # rows holding this panel's pivots
+        for c in range(w):
+            if r >= rows:
+                break
+            nz = np.flatnonzero(a[r:, c])
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+                m[[r, i]] = m[[i, r]]
+            a[r, w + len(src)] = 1
+            src.append(r)
+            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+            col = a[:, c].copy()
+            col[r] = 0
+            a -= np.outer(col, a[r])
+            a %= p
+            pivots.append(c0 + c)
+            r += 1
+        m[:, c0:c1] = a[:, :w]
+        if src and c1 < cols:
+            t = m[:, c1:]
+            v = t[src]  # a copy: the pivot rows as the panel found them
+            t[src] = 0
+            t += a[:, w : w + len(src)] @ v
+            t %= p
+    return m[:r], pivots
+
+
+def _kernel_rows(rref: np.ndarray, pivots: list[int], cols: int, p: int) -> np.ndarray:
+    """The kernel basis e_f - sum_j rref[j, f] e_{pivots[j]}, one row per free column f."""
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-rref[:, free].T) % p
+    return basis
 
 
 def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """A basis (rows) of the right kernel of mat over GF(p)."""
     m = np.asarray(mat)
-    cols = m.shape[1]
     rref, pivots = rref_mod_p(m, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fcol in enumerate(free):
-        basis[i, fcol] = 1
-        for row, pcol in zip(rref, pivots):
-            basis[i, pcol] = (-row[fcol]) % p
-    return basis
+    return _kernel_rows(rref, pivots, m.shape[1], p)
 
 
 class CodeWord:
@@ -195,14 +227,20 @@ def code_of_plane(plane: Plane, p: int, allow_prime_mismatch: bool = False) -> L
 
 
 def dual_basis(code: LinearCode) -> LinearCode:
-    """The dual code, as an RREF basis; orthogonality is verified."""
-    basis = nullspace_mod_p(code.generator, code.p)
-    rref, _ = rref_mod_p(basis, code.p)
-    if rref.shape[0] != code.length - code.dimension:
+    """The dual code, as an RREF basis; orthogonality is verified.
+
+    One elimination, of the generator with its columns reversed.  There the
+    kernel row of a free column f ends with the 1 at f and is 0 at every
+    other free column, so flipping columns and rows back gives the RREF.
+    """
+    p, n = code.p, code.length
+    rref, pivots = rref_mod_p(code.generator[:, ::-1], p)
+    dual = np.ascontiguousarray(_kernel_rows(rref, pivots, n, p)[::-1, ::-1])
+    if dual.shape[0] != n - code.dimension:
         raise CodesError("dual basis has wrong dimension")  # pragma: no cover
-    if ((code.generator @ rref.T) % code.p).any():
+    if ((code.generator @ dual.T) % p).any():
         raise CodesError("dual basis is not orthogonal to the code")  # pragma: no cover
-    return LinearCode(code.p, code.length, rref)
+    return LinearCode(p, n, dual)
 
 
 def is_dual_word(w: CodeWord, plane: Plane) -> tuple[bool, int | None]:

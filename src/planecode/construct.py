@@ -38,6 +38,10 @@ class NotVerifiedEmbeddingError(ConstructError):
     pass
 
 
+class RecipeCheckError(ConstructError):
+    """A constructed word lacks a property that its recipe guarantees."""
+
+
 def _scaled(w: CodeWord, plane: Plane, raw: bool) -> CodeWord:
     if raw or w.weight == 0:
         return w
@@ -62,9 +66,13 @@ def line_diff(plane: Plane, l1: int, l2: int, raw: bool = False) -> CodeWord:
         indicator(plane.lines[l1], plane.npoints, p),
         indicator(plane.lines[l2], plane.npoints, p),
     )
-    assert w.weight == 2 * plane.order
-    ok, _ = is_dual_word(w, plane)
-    assert ok, "difference of two lines must be orthogonal to every line"
+    if w.weight != 2 * plane.order:
+        raise RecipeCheckError(
+            f"difference of two lines has weight {w.weight}, not {2 * plane.order}"
+        )
+    ok, witness = is_dual_word(w, plane)
+    if not ok:
+        raise RecipeCheckError(f"difference of two lines is not orthogonal to line {witness}")
     return _scaled(w, plane, raw)
 
 
@@ -88,8 +96,9 @@ def baer_diff(
         indicator(sub.points, plane.npoints, p),
         indicator(plane.lines[secant], plane.npoints, p),
     )
-    ok, _ = is_dual_word(w, plane)
-    assert ok, "Baer-minus-secant must be orthogonal to every line"
+    ok, witness = is_dual_word(w, plane)
+    if not ok:
+        raise RecipeCheckError(f"Baer-minus-secant is not orthogonal to line {witness}")
     return _scaled(w, plane, raw)
 
 

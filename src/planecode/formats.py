@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import time
 from pathlib import Path
 
@@ -98,18 +99,61 @@ def word_to_text(w: CodeWord) -> str:
     return head + ("\n" + body if body else "") + "\n"
 
 
+def _as_int(x) -> int:
+    """An integer from text or from an integer, never from a float."""
+    return int(x) if isinstance(x, str) else operator.index(x)
+
+
+def _support_word(p: int, length: int, pairs: list, where) -> CodeWord:
+    """The word with value b at position a for each (a, b) in pairs; a
+    FormatError names the bad pair i by where(i)."""
+    pos = np.empty(len(pairs), dtype=np.int64)
+    val = np.empty(len(pairs), dtype=np.int64)
+    for i, pair in enumerate(pairs):
+        try:
+            a, b = pair
+            pos[i], val[i] = _as_int(a), _as_int(b)
+        except (TypeError, ValueError):
+            raise FormatError(f"{where(i)}: malformed entry, expected pos:value") from None
+        except OverflowError:
+            raise FormatError(f"{where(i)}: number out of range") from None
+    order = np.argsort(pos, kind="stable")
+    dup = np.zeros(pos.size, dtype=bool)
+    dup[order[1:]] = pos[order[1:]] == pos[order[:-1]]
+    problems = (
+        ((pos < 0) | (pos >= length), f"position outside 0..{length - 1}"),
+        ((val <= 0) | (val >= p), f"value outside 1..{p - 1}"),
+        (dup, "duplicate position"),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in problems]))
+    if bad.size:
+        i = int(bad[0])
+        why = next(why for mask, why in problems if mask[i])
+        raise FormatError(f"{where(i)}: {why}")
+    values = np.zeros(length, dtype=np.int64)
+    values[pos] = val
+    return CodeWord(p, values)
+
+
 def word_from_text(text: str) -> CodeWord:
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
+    numbered = [(n, l) for n, l in enumerate(text.splitlines(), 1) if l.strip()]
+    head = numbered[0][1].split() if numbered else []
     if not head or head[0] != "word":
         raise FormatError("missing 'word' header")
-    fields = dict(kv.split("=") for kv in head[1:])
-    p, length = int(fields["p"]), int(fields["len"])
-    values = np.zeros(length, dtype=np.int64)
-    for entry in lines[1:]:
-        pos, val = entry.split(":")
-        values[int(pos)] = int(val)
-    return CodeWord(p, values)
+    try:
+        fields = dict(kv.split("=") for kv in head[1:])
+        p, length = int(fields["p"]), int(fields["len"])
+        if p < 2 or length < 0:
+            raise ValueError
+    except (KeyError, ValueError):
+        raise FormatError(f"line {numbered[0][0]}: expected 'word p=<p> len=<L>'") from None
+    body = numbered[1:]
+    return _support_word(
+        p,
+        length,
+        [entry.split(":") for _, entry in body],
+        lambda i: f"line {body[i][0]} ({body[i][1].strip()!r})",
+    )
 
 
 def word_to_json(w: CodeWord) -> dict:
@@ -121,10 +165,10 @@ def word_to_json(w: CodeWord) -> dict:
 
 
 def word_from_json(obj: dict) -> CodeWord:
-    values = np.zeros(int(obj["len"]), dtype=np.int64)
-    for pos, val in obj["support"].items():
-        values[int(pos)] = int(val)
-    return CodeWord(int(obj["p"]), values)
+    support = list(obj["support"].items())
+    return _support_word(
+        int(obj["p"]), int(obj["len"]), support, lambda i: f"support entry {support[i][0]!r}"
+    )
 
 
 def write_word(w: CodeWord, path) -> None:

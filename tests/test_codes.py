@@ -1,10 +1,12 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 
 from planecode.codes import (
     BudgetExceededError,
+    CodesError,
     CodeWord,
     LengthMismatchError,
     PrimeMismatchError,
@@ -39,6 +41,119 @@ def brute_force_words(generator, p):
             if m:
                 w = [(a + m * b) % p for a, b in zip(w, row)]
         yield tuple(w)
+
+
+def reference_rref(mat, p):
+    """Test-only oracle: the one-pivot-at-a-time GF(p) elimination."""
+    m = np.array(mat, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        m -= np.outer(col, m[r])
+        m %= p
+        pivots.append(c)
+        r += 1
+    return m[: len(pivots)], pivots
+
+
+def reference_dual(generator, p):
+    """Test-only oracle: the reference kernel basis, row-reduced again."""
+    rref, pivots = reference_rref(generator, p)
+    cols = generator.shape[1]
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fcol in enumerate(free):
+        basis[i, fcol] = 1
+        for row, pcol in zip(rref, pivots):
+            basis[i, pcol] = (-row[fcol]) % p
+    return reference_rref(basis, p)[0]
+
+
+def random_shapes(rng, p, cols):
+    """Matrices with `cols` columns: tall, square and wide, full rank and
+    rank-deficient, with zero rows and zero columns."""
+    for rows in (2 * cols + 3, cols, max(1, cols // 3), 1):
+        yield rng.integers(0, p, size=(rows, cols))
+        yield rng.integers(0, p, size=(rows, 3)) @ rng.integers(0, p, size=(3, cols))
+        m = rng.integers(0, p, size=(rows, cols))
+        m[rng.random(rows) < 0.3] = 0
+        m[:, rng.random(cols) < 0.3] = 0
+        yield m
+    yield np.zeros((5, cols), dtype=np.int64)
+
+
+@pytest.mark.parametrize("cols", [1, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_rref_matches_reference_kernel(p, cols):
+    rng = np.random.default_rng(1000 * p + cols)
+    for m in random_shapes(rng, p, cols):
+        want, want_piv = reference_rref(m, p)
+        got, got_piv = rref_mod_p(m, p)
+        assert got_piv == want_piv
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_rref_near_the_int64_bound():
+    p = 268435399  # the largest prime below 2^28
+    rng = np.random.default_rng(5)
+    m = rng.integers(0, p, size=(40, 70))
+    m[:, 3] = m[:, 0] + m[:, 1]  # a non-pivot column inside the first panel
+    want, want_piv = reference_rref(m, p)
+    got, got_piv = rref_mod_p(m, p)
+    assert got_piv == want_piv and np.array_equal(got, want)
+
+
+def test_rref_refuses_p_beyond_the_int64_bound():
+    with pytest.raises(CodesError, match="too large"):
+        rref_mod_p(np.eye(3, dtype=np.int64), 2**31 - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    K = sympy.GF(p)
+    rng = np.random.default_rng(p)
+    for rows, cols in ((6, 9), (12, 5), (8, 40)):
+        m = rng.integers(0, p, size=(rows, cols))
+        m[1] = 0
+        m[:, 2] = 0
+        dm = DomainMatrix([[K(int(x)) for x in row] for row in m], m.shape, K)
+        want, want_piv = dm.rref()
+        got, got_piv = rref_mod_p(m, p)
+        assert got_piv == list(want_piv)
+        want_rows = [[int(x) % p for x in row] for row in want.to_list()[: len(want_piv)]]
+        assert got.tolist() == want_rows
+
+
+@pytest.mark.parametrize(
+    "q,p,h", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (8, 2, 3), (9, 3, 2), (16, 2, 4)]
+)
+def test_dual_basis_matches_two_pass_reference(q, p, h):
+    code = code_of_plane(pg2(field_new(p, h)), p)
+    dual = dual_basis(code)
+    assert dual.generator.dtype == np.int64
+    assert np.array_equal(dual.generator, reference_dual(code.generator, p))
+
+
+@pytest.mark.parametrize("p,h", [(3, 3), (2, 5), (7, 2)])
+def test_code_rank_closed_form(p, h):
+    """Hamada: the p-rank of PG(2,p^h) is C(p+1,2)^h + 1."""
+    code = code_of_plane(pg2(field_new(p, h)), p)
+    assert code.dimension == comb(p + 1, 2) ** h + 1
 
 
 def test_rref_small_known():

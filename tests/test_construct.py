@@ -6,6 +6,7 @@ from planecode.construct import (
     NotDisjointError,
     NotSecantError,
     NotVerifiedEmbeddingError,
+    RecipeCheckError,
     SameLineError,
     antipodal_diff,
     baer_diff,
@@ -40,6 +41,25 @@ def test_line_diff_weights(pg9, pg25):
 def test_line_diff_same_line(pg9):
     with pytest.raises(SameLineError):
         line_diff(pg9, 4, 4)
+
+
+def test_recipe_guards_raise_without_asserts(pg9, monkeypatch):
+    """The duality guards are explicit raises, so they survive python -O."""
+    import planecode.construct as construct
+
+    monkeypatch.setattr(construct, "is_dual_word", lambda w, plane: (False, 7))
+    with pytest.raises(RecipeCheckError, match="line 7"):
+        line_diff(pg9, 0, 1)
+    with pytest.raises(RecipeCheckError, match="line 7"):
+        baer_diff(pg9, baer_subfield_subplane(pg9))
+
+
+def test_line_diff_weight_guard_raises(pg9, monkeypatch):
+    import planecode.construct as construct
+
+    monkeypatch.setattr(construct, "word_diff", lambda a, b: a)
+    with pytest.raises(RecipeCheckError, match="weight"):
+        line_diff(pg9, 0, 1)
 
 
 def test_line_diff_normalized_leading_symbol(pg9):

@@ -62,6 +62,57 @@ def test_word_header(pg9):
     assert head == "word p=3 len=91"
 
 
+@pytest.mark.parametrize(
+    "body,line,why",
+    [
+        ("0:1\n-1:2", 3, "position outside 0..12"),
+        ("0:1\n13:2", 3, "position outside 0..12"),
+        ("0:1\n\n4:0", 4, "value outside 1..2"),
+        ("1:5", 2, "value outside 1..2"),
+        ("2:-1", 2, "value outside 1..2"),
+        ("3:1\n0:2\n3:2", 4, "duplicate position"),
+        ("0:1\n1", 3, "malformed entry"),
+        ("0:1:2", 2, "malformed entry"),
+        ("x:1", 2, "malformed entry"),
+        ("1:99999999999999999999", 2, "number out of range"),
+    ],
+)
+def test_word_text_rejects_bad_entries(body, line, why):
+    with pytest.raises(formats.FormatError, match=rf"^line {line} .*: {why}"):
+        formats.word_from_text("word p=3 len=13\n" + body + "\n")
+
+
+@pytest.mark.parametrize(
+    "support,why",
+    [
+        ({"-1": 2}, "position outside"),
+        ({"13": 1}, "position outside"),
+        ({"4": 0}, "value outside"),
+        ({"1": 5}, "value outside"),
+        ({"3": 1, "03": 2}, "duplicate position"),
+        ({"a": 1}, "malformed entry"),
+        ({"1": None}, "malformed entry"),
+        ({"1": 2.5}, "malformed entry"),
+    ],
+)
+def test_word_json_rejects_bad_entries(support, why):
+    with pytest.raises(formats.FormatError, match=why):
+        formats.word_from_json({"p": 3, "len": 13, "support": support})
+
+
+@pytest.mark.parametrize(
+    "text", ["word p=3\n0:1\n", "\nword p=x len=4\n", "word p=3 len\n", "word p=3 len=-1\n"]
+)
+def test_word_text_rejects_bad_header(text):
+    with pytest.raises(formats.FormatError, match=r"^line [12]: expected 'word p="):
+        formats.word_from_text(text)
+
+
+def test_word_text_accepts_unsorted_support():
+    w = formats.word_from_text("word p=3 len=13\n5:2\n0:1\n")
+    assert w.values.tolist() == [1, 0, 0, 0, 0, 2] + [0] * 7
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -142,6 +193,15 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
 def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["code", "dim"])  # missing --p
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_cli_threads_flag_is_gone(before):
+    argv = ["code", "dim", "--field", "2", "--p", "2"]
+    argv = ["--threads", "2"] + argv if before else argv + ["--threads", "2"]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
     assert e.value.code == 2
 
 
