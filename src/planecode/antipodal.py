@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .geometry import NotGeneratedError, Plane, baer_subfield_subplane
+from .geometry import NotGeneratedError, Plane, _normalize, baer_subfield_subplane, pg2
 
 
 class AntipodalError(ValueError):
@@ -76,6 +76,13 @@ class PartialLinearSpace:
     def line_of(self, p: int, q: int) -> int | None:
         a, b = (p, q) if p < q else (q, p)
         return self.pair_line.get((a, b))
+
+    line_through = line_of  # the join under Plane's name, for the search engine
+
+    def meet(self, l1: int, l2: int) -> int | None:
+        """The common point of two distinct lines, or None if they are disjoint."""
+        common = self.line_sets[l1] & self.line_sets[l2]
+        return next(iter(common)) if common else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,7 +163,7 @@ def cyclic_antipodal(order: int) -> PartialLinearSpace:
 def antipodal_from_pg24() -> PartialLinearSpace:
     """Complement of a Fano subplane in PG(2,4): 14 points, the 14
     non-extended lines, an antipodal plane of order 3."""
-    plane = pg24()
+    plane = pg2(Field(2, 2))
     fano = baer_subfield_subplane(plane)
     fano_pts = set(fano.points)
     keep_pts = sorted(set(range(plane.npoints)) - fano_pts)
@@ -167,18 +174,6 @@ def antipodal_from_pg24() -> PartialLinearSpace:
         if l not in set(fano.lines)
     ]
     return PartialLinearSpace(len(keep_pts), lines)
-
-
-_PG24 = None
-
-
-def pg24() -> Plane:
-    global _PG24
-    if _PG24 is None:
-        from .geometry import pg2
-
-        _PG24 = pg2(Field(2, 2))
-    return _PG24
 
 
 def mobius_kantor_points(
@@ -213,14 +208,6 @@ def mobius_kantor_points(
     return pts
 
 
-def _normalize_triple(f: Field, v: tuple[int, int, int]) -> tuple[int, int, int]:
-    for i in range(3):
-        if v[i] != 0:
-            s = f.inv(v[i])
-            return (f.mul(s, v[0]), f.mul(s, v[1]), f.mul(s, v[2]))
-    raise AntipodalError("zero vector")
-
-
 def mobius_kantor_pls(
     plane: Plane, omega: int | None = None
 ) -> tuple[PartialLinearSpace, tuple[int, ...]]:
@@ -234,7 +221,7 @@ def mobius_kantor_pls(
         raise NotGeneratedError("Mobius-Kantor points need a generated plane")
     f = plane.field
     pts = [
-        plane.point_index(_normalize_triple(f, c))
+        plane.point_index(_normalize(f, c))
         for c in mobius_kantor_points(f, omega)
     ]
     if len(set(pts)) != 8:
@@ -286,47 +273,21 @@ def is_good_triangle(ap: AntipodalPlane, a: int, b: int, c: int) -> bool:
 
 
 def isomorphism(a: PartialLinearSpace, b: PartialLinearSpace) -> tuple[int, ...] | None:
-    """A point bijection carrying lines onto lines, by plain backtracking
-    with degree and pairwise-collinearity pruning; None if none exists."""
-    n = a.n_points
-    if n != b.n_points or len(a.lines) != len(b.lines):
+    """A point bijection carrying the lines of a onto the lines of b, or
+    None if none exists.
+
+    With equal point and line counts an embedding of a into b is an
+    isomorphism, so this is the embedding search with b as its target.  None
+    means the whole search tree was traversed; a search that runs out of its
+    node budget raises AntipodalError instead.
+    """
+    from .search import embed_search  # search imports this module
+
+    if a.n_points != b.n_points or len(a.lines) != len(b.lines):
         return None
-    if sorted(len(l) for l in a.lines) != sorted(len(l) for l in b.lines):
-        return None
-    deg_a = [len(ls) for ls in a.point_lines]
-    deg_b = [len(ls) for ls in b.point_lines]
-    b_line_set = set(b.line_sets)
-    mapping = [-1] * n
-    used = [False] * b.n_points
-
-    def ok(p: int, img: int) -> bool:
-        if deg_a[p] != deg_b[img]:
-            return False
-        for q in range(n):
-            if mapping[q] >= 0 and q != p:
-                if a.collinear(p, q) != b.collinear(img, mapping[q]):
-                    return False
-        for l in a.point_lines[p]:
-            pts = a.lines[l]
-            if all(mapping[x] >= 0 or x == p for x in pts):
-                image = frozenset(mapping[x] if x != p else img for x in pts)
-                if image not in b_line_set:
-                    return False
-        return True
-
-    def extend(p: int) -> bool:
-        if p == n:
-            return True
-        for img in range(b.n_points):
-            if not used[img] and ok(p, img):
-                mapping[p] = img
-                used[img] = True
-                if extend(p + 1):
-                    return True
-                mapping[p] = -1
-                used[img] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
+    out = embed_search(a, b, normalize=False)
+    if out.status == "budget-exceeded":
+        raise AntipodalError(
+            f"isomorphism search stopped at its budget after {out.stats.nodes} nodes"
+        )
+    return out.embeddings[0].point_map if out.embeddings else None

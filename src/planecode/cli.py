@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import acceptance, formats
 from .analyze import analyze as analyze_word
@@ -20,7 +21,7 @@ from .antipodal import (
     cyclic_antipodal,
     validate_antipodal,
 )
-from .codes import code_of_plane, dual_basis, enumerate_min_weight
+from .codes import DEFAULT_ENUM_BUDGET, code_of_plane, dual_basis, enumerate_min_weight
 from .construct import antipodal_diff, baer_diff, line_diff, subplane_diff
 from .field import parse_field
 from .geometry import (
@@ -29,7 +30,7 @@ from .geometry import (
     pg2,
     subplane_result_from_points,
 )
-from .search import Embedding, embed_search
+from .search import DEFAULT_BUDGET, Embedding, embed_search
 
 
 class CliError(ValueError):
@@ -140,7 +141,7 @@ def cmd_construct(args) -> dict:
     pls = _load_pls(args.pls)  # recipe == "antipodal-diff"
     embs = []
     for path in (args.emb1, args.emb2):
-        obj = json.loads(open(path).read())
+        obj = json.loads(Path(path).read_text())
         embs.append(Embedding(tuple(obj["point_map"]), tuple(obj["line_map"])))
     w, dual = antipodal_diff(plane, (pls, embs[0]), (pls, embs[1]), raw=args.raw)
     return _word_record(args, w, {"recipe": "antipodal-diff", "dual": dual})
@@ -185,7 +186,7 @@ def cmd_embed(args) -> dict:
         plane,
         cap=args.cap,
         budget=args.budget,
-        normalize=False if args.no_normalize or exclude else None,
+        normalize=False if args.no_normalize else None,
         exclude=exclude,
     )
     record = {
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         x.add_argument("--p", type=int, required=True)
         if name == "min-weight":
             x.add_argument("--dual", action="store_true")
-            x.add_argument("--budget", type=int, default=2**24)
+            x.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
 
     k = sub.add_parser("construct", help="build dual code words from geometry")
     ka = k.add_subparsers(dest="recipe", required=True)
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--pls", required=True, help="pls file, builtin:mk, or builtin:ap3")
     _add_plane_source(e)
     e.add_argument("--cap", type=int, default=1)
-    e.add_argument("--budget", type=int, default=10**9)
+    e.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     e.add_argument("--no-normalize", action="store_true")
     e.add_argument("--exclude", help="plane point indices barred as images")
     e.add_argument("--emb-out", dest="emb_out", help="write the first embedding as JSON")

@@ -14,15 +14,18 @@ from __future__ import annotations
 
 from .antipodal import PartialLinearSpace
 from .codes import CodeWord, indicator, is_dual_word, word_diff
-from .geometry import Plane, SubplaneResult
+from .geometry import (
+    Plane,
+    SameLineError,
+    SubplaneResult,
+    _quadrangle_closures,
+    baer_subfield_subplane,
+    subplane_result_from_points,
+)
 from .search import Embedding, verify_embedding
 
 
 class ConstructError(ValueError):
-    pass
-
-
-class SameLineError(ConstructError):
     pass
 
 
@@ -152,35 +155,16 @@ def disjoint_baer_pair(
 ) -> tuple[SubplaneResult, SubplaneResult]:
     """A pair of disjoint Baer subplanes, found by closing quadrangles that
     avoid the subfield Baer subplane."""
-    from .geometry import baer_subfield_subplane, subplane_result_from_points, _closure
-
     base = baer_subfield_subplane(plane)
     m = base.order
-    cap = m * m + m + 1
     avoid = set(base.points)
     pool = [x for x in range(plane.npoints) if x not in avoid]
-    T = plane.pair_line_rows()
-    M = plane.pair_point_rows()
-    nodes = 0
-    for i, a in enumerate(pool):
-        for j in range(i + 1, len(pool)):
-            b = pool[j]
-            lab = T[a][b]
-            for k in range(j + 1, len(pool)):
-                c = pool[k]
-                if T[a][c] == lab:
-                    continue
-                for l in range(k + 1, len(pool)):
-                    d = pool[l]
-                    if T[a][d] == lab or T[a][d] == T[a][c] or T[b][d] == T[b][c]:
-                        continue
-                    nodes += 1
-                    if nodes > budget:
-                        raise ConstructError("no disjoint Baer pair within budget")
-                    cl = _closure(T, M, (a, b, c, d), cap, 0)
-                    if cl is None or cl & avoid:
-                        continue
-                    sub = subplane_result_from_points(plane, cl, m)
-                    if sub is not None:
-                        return base, sub
+    for nodes, cl in enumerate(_quadrangle_closures(plane, pool, m * m + m + 1), 1):
+        if nodes > budget:
+            raise ConstructError("no disjoint Baer pair within budget")
+        if cl is None or cl & avoid:
+            continue
+        sub = subplane_result_from_points(plane, cl, m)
+        if sub is not None:
+            return base, sub
     raise ConstructError("no disjoint Baer subplane pair found")

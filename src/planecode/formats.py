@@ -29,6 +29,50 @@ class FormatError(ValueError):
     pass
 
 
+def _parse_header(text: str, usage: str) -> tuple[int, dict[str, int], list]:
+    """Split a text file into its header and its non-blank body lines.
+
+    usage is the header's form, e.g. "word p=<p> len=<L>": the first
+    non-blank line must start with the same word and give a non-negative
+    integer for every key, or a FormatError names its 1-based line.
+    Returns the header's line number, its values by key, and the body as
+    (line number, text) pairs.
+    """
+    kind, *keys = (part.split("=")[0] for part in usage.split())
+    numbered = [(n, l) for n, l in enumerate(text.splitlines(), 1) if l.strip()]
+    if not numbered:
+        raise FormatError(f"line 1: expected '{usage}', the file is empty")
+    line, head = numbered[0]
+    words = head.split()
+    try:
+        if words[0] != kind:
+            raise ValueError
+        given = dict(kv.split("=") for kv in words[1:])
+        fields = {k: int(given[k]) for k in keys}
+        if min(fields.values()) < 0:
+            raise ValueError
+    except (KeyError, ValueError):
+        raise FormatError(f"line {line}: expected '{usage}'") from None
+    return line, fields, numbered[1:]
+
+
+def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], list]:
+    """The header and the integer point rows of a plane or pls file; the
+    number of rows must equal the header's lines=."""
+    line, fields, body = _parse_header(text, usage)
+    rows = []
+    for n, entry in body:
+        try:
+            rows.append([int(x) for x in entry.split()])
+        except ValueError:
+            raise FormatError(f"line {n}: non-integer entry in {entry.strip()!r}") from None
+    if len(rows) != fields["lines"]:
+        raise FormatError(
+            f"line {line}: header says lines={fields['lines']}, file has {len(rows)} rows"
+        )
+    return line, fields, rows
+
+
 # -- planes ----------------------------------------------------------------------
 
 
@@ -39,16 +83,12 @@ def plane_to_text(plane: Plane) -> str:
 
 
 def plane_from_text(text: str) -> Plane:
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if not head or head[0] != "plane":
-        raise FormatError("missing 'plane' header")
-    fields = dict(kv.split("=") for kv in head[1:])
-    n = int(fields["n"])
-    rows = [[int(x) for x in l.split()] for l in lines[1:]]
-    if len(rows) != int(fields["lines"]):
+    line, fields, rows = _incidence_rows(text, "plane n=<n> points=<N> lines=<N>")
+    n = fields["n"]
+    if fields["points"] != n * n + n + 1:
         raise FormatError(
-            f"header says {fields['lines']} lines, file has {len(rows)}"
+            f"line {line}: points={fields['points']}, but a plane of order {n} "
+            f"has {n * n + n + 1}"
         )
     return plane_from_incidence(rows, n)
 
@@ -71,15 +111,8 @@ def pls_to_text(pls: PartialLinearSpace) -> str:
 
 
 def pls_from_text(text: str) -> PartialLinearSpace:
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if not head or head[0] != "pls":
-        raise FormatError("missing 'pls' header")
-    fields = dict(kv.split("=") for kv in head[1:])
-    rows = [tuple(int(x) for x in l.split()) for l in lines[1:]]
-    if len(rows) != int(fields["lines"]):
-        raise FormatError(f"header says {fields['lines']} lines, file has {len(rows)}")
-    return PartialLinearSpace(int(fields["points"]), rows)
+    _, fields, rows = _incidence_rows(text, "pls points=<N> lines=<M>")
+    return PartialLinearSpace(fields["points"], rows)
 
 
 def write_pls(pls: PartialLinearSpace, path) -> None:
@@ -136,21 +169,12 @@ def _support_word(p: int, length: int, pairs: list, where) -> CodeWord:
 
 
 def word_from_text(text: str) -> CodeWord:
-    numbered = [(n, l) for n, l in enumerate(text.splitlines(), 1) if l.strip()]
-    head = numbered[0][1].split() if numbered else []
-    if not head or head[0] != "word":
-        raise FormatError("missing 'word' header")
-    try:
-        fields = dict(kv.split("=") for kv in head[1:])
-        p, length = int(fields["p"]), int(fields["len"])
-        if p < 2 or length < 0:
-            raise ValueError
-    except (KeyError, ValueError):
-        raise FormatError(f"line {numbered[0][0]}: expected 'word p=<p> len=<L>'") from None
-    body = numbered[1:]
+    line, fields, body = _parse_header(text, "word p=<p> len=<L>")
+    if fields["p"] < 2:
+        raise FormatError(f"line {line}: expected 'word p=<p> len=<L>' with p >= 2")
     return _support_word(
-        p,
-        length,
+        fields["p"],
+        fields["len"],
         [entry.split(":") for _, entry in body],
         lambda i: f"line {body[i][0]} ({body[i][1].strip()!r})",
     )

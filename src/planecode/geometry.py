@@ -365,6 +365,35 @@ def subplane_result_from_points(plane: Plane, pts: frozenset, m: int) -> Subplan
     return SubplaneResult(tuple(sorted(pts)), tuple(secants), m)
 
 
+def _quadrangle_closures(plane: Plane, pool, cap: int):
+    """Close every quadrangle of a sorted point pool, in lexicographic order.
+
+    Yields one closure per 4-subset of the pool with no three points
+    collinear: the closed point set, or None when the closure escapes the
+    cap or reaches a point below the quadrangle's first point (such a
+    closure is reached from an earlier quadrangle).
+    """
+    T = plane.pair_line_rows()
+    M = plane.pair_point_rows()
+    n = len(pool)
+    for i in range(n):
+        a = pool[i]
+        Ta = T[a]
+        for j in range(i + 1, n):
+            b = pool[j]
+            lab = Ta[b]
+            Tb = T[b]
+            for k in range(j + 1, n):
+                c = pool[k]
+                if Ta[c] == lab:
+                    continue
+                lac, lbc = Ta[c], Tb[c]
+                for d in pool[k + 1:]:
+                    if Ta[d] == lab or Ta[d] == lac or Tb[d] == lbc:
+                        continue
+                    yield _closure(T, M, (a, b, c, d), cap, a)
+
+
 def subplane_search(
     plane: Plane, m: int, limit: int = 10, budget: int = 10**8
 ) -> SubplaneSearchOutcome:
@@ -378,38 +407,19 @@ def subplane_search(
     """
     if m < 2:
         raise GeometryError("subplane order must be >= 2")
-    cap = m * m + m + 1
-    T = plane.pair_line_rows()
-    M = plane.pair_point_rows()
-    N = plane.npoints
     found: dict[frozenset, SubplaneResult] = {}
     nodes = 0
-
-    for a in range(N):
-        Ta = T[a]
-        for b in range(a + 1, N):
-            lab = Ta[b]
-            Tb = T[b]
-            for c in range(b + 1, N):
-                if Ta[c] == lab:
-                    continue
-                lac, lbc = Ta[c], Tb[c]
-                for d in range(c + 1, N):
-                    if Ta[d] == lab or Ta[d] == lac or Tb[d] == lbc:
-                        continue
-                    nodes += 1
-                    if nodes > budget:
-                        return SubplaneSearchOutcome(list(found.values()), False, True, nodes)
-                    cl = _closure(T, M, (a, b, c, d), cap, a)
-                    if cl is None or cl in found:
-                        continue
-                    res = subplane_result_from_points(plane, cl, m)
-                    if res is not None:
-                        found[cl] = res
-                        if len(found) >= limit:
-                            return SubplaneSearchOutcome(
-                                list(found.values()), False, False, nodes
-                            )
+    closures = _quadrangle_closures(plane, range(plane.npoints), m * m + m + 1)
+    for nodes, cl in enumerate(closures, 1):
+        if nodes > budget:
+            return SubplaneSearchOutcome(list(found.values()), False, True, nodes)
+        if cl is None or cl in found:
+            continue
+        res = subplane_result_from_points(plane, cl, m)
+        if res is not None:
+            found[cl] = res
+            if len(found) >= limit:
+                return SubplaneSearchOutcome(list(found.values()), False, False, nodes)
     return SubplaneSearchOutcome(list(found.values()), True, False, nodes)
 
 

@@ -128,6 +128,9 @@ def normalize_frame(pls: PartialLinearSpace) -> tuple[int, int, int, int]:
 
 
 class _Searcher:
+    """Backtracking over point images into a target: a Plane, or a
+    PartialLinearSpace (whose line_through and meet may return None)."""
+
     def __init__(
         self,
         pls: PartialLinearSpace,
@@ -146,7 +149,7 @@ class _Searcher:
         self.np_ = pls.n_points
         self.nl = len(pls.lines)
         self.pmap = [-1] * self.np_
-        self.used = [False] * plane.npoints
+        self.used = [False] * len(plane.point_lines)
         self.lmap = [-1] * self.nl
         self.placed = [0] * self.nl
         self.det_lines: list[int] = []  # currently determined pls lines
@@ -192,6 +195,10 @@ class _Searcher:
         for li in newly:
             a, b = (x for x in pls.lines[li] if self.pmap[x] >= 0)
             img = plane.line_through(self.pmap[a], self.pmap[b])
+            if img is None:
+                stats.prunes["incidence"] += 1
+                self.undo(journal)
+                return None
             if img in self.used_lines:
                 stats.prunes["line_injectivity"] += 1
                 self.undo(journal)
@@ -256,11 +263,11 @@ class _Searcher:
         det = [self.lmap[li] for li in self.pls.point_lines[p] if self.lmap[li] >= 0]
         if len(det) >= 2:
             x = self.plane.meet(det[0], det[1])
-            pool = [x] if not self.used[x] else []
+            pool = [x] if x is not None and not self.used[x] else []
         elif len(det) == 1:
             pool = [v for v in self.plane.lines[det[0]] if not self.used[v]]
         else:
-            pool = [v for v in range(self.plane.npoints) if not self.used[v]]
+            pool = [v for v, u in enumerate(self.used) if not u]
         if self.exclude:
             pool = [v for v in pool if v not in self.exclude]
         return pool
@@ -299,6 +306,7 @@ def embed_search(
 
     exclude bars a set of plane points from use as images; it disables
     frame normalization (excluding points breaks frame transitivity).
+    With normalize=False the target may also be a PartialLinearSpace.
     """
     if normalize is None:
         normalize = plane.source == "generated" and not exclude

@@ -1,5 +1,9 @@
+import functools
+import random
+
 import pytest
 
+import planecode.search as search
 from planecode.antipodal import (
     AntipodalError,
     NotAntipodalError,
@@ -96,6 +100,82 @@ def test_pg24_complement_isomorphic_to_cyclic():
 
 def test_isomorphism_rejects_different_structures():
     assert isomorphism(cyclic_antipodal(2), cyclic_antipodal(3)) is None
+
+
+@pytest.mark.parametrize("order,automorphisms", [(2, 48), (3, 336)])
+def test_isomorphism_engine_finds_every_automorphism(order, automorphisms):
+    x = cyclic_antipodal(order)
+    out = search.embed_search(x, x, normalize=False, cap=10**6)
+    assert out.status == "found"
+    assert len(out.embeddings) == automorphisms
+    assert len({e.point_map for e in out.embeddings}) == automorphisms
+
+
+def relabelled(pls, seed):
+    rng = random.Random(seed)
+    perm = list(range(pls.n_points))
+    rng.shuffle(perm)
+    lines = [tuple(perm[p] for p in l) for l in pls.lines]
+    rng.shuffle(lines)
+    return PartialLinearSpace(pls.n_points, lines)
+
+
+# same point and line counts, line sizes and point degrees, not isomorphic:
+# the cyclic 9_3 configuration and Pappus (AG(2,3) minus a parallel class),
+# an 8-cycle and two 4-cycles
+CYCLIC_9_3 = PartialLinearSpace(9, [tuple((b + s) % 9 for b in (0, 1, 3)) for s in range(9)])
+PAPPUS = PartialLinearSpace(
+    9, [tuple(3 * x + (k * x + c) % 3 for x in range(3)) for k in range(3) for c in range(3)]
+)
+CYCLE_8 = PartialLinearSpace(8, [(i, (i + 1) % 8) for i in range(8)])
+TWO_CYCLES_4 = PartialLinearSpace(
+    8, [(i, (i + 1) % 4) for i in range(4)] + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
+)
+MODELS = {"mk": cyclic_antipodal(2), "ap3": cyclic_antipodal(3), "pg24": antipodal_from_pg24()}
+ORACLE_PAIRS = [
+    pytest.param(x, relabelled(x, seed), id=f"{name}-relabel{seed}")
+    for name, x in MODELS.items()
+    for seed in range(3)
+] + [
+    pytest.param(MODELS["pg24"], MODELS["ap3"], id="pg24-ap3"),
+    pytest.param(CYCLIC_9_3, PAPPUS, id="cyclic93-pappus"),
+    pytest.param(CYCLE_8, TWO_CYCLES_4, id="c8-c4c4"),
+    pytest.param(PAPPUS, relabelled(PAPPUS, 5), id="pappus-relabel5"),
+    pytest.param(PartialLinearSpace(8, FANO_LINES + [(0, 7)]), MODELS["mk"], id="fano+line-mk"),
+]
+
+
+def levi_graph(pls):
+    """Bipartite point-line incidence graph; the side attribute keeps
+    points from being matched to lines."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from((("p", x) for x in range(pls.n_points)), side="point")
+    g.add_nodes_from((("l", i) for i in range(len(pls.lines))), side="line")
+    g.add_edges_from((("p", x), ("l", i)) for i, l in enumerate(pls.lines) for x in l)
+    return g
+
+
+@pytest.mark.parametrize("a,b", ORACLE_PAIRS)
+def test_isomorphism_agrees_with_vf2_on_levi_graphs(a, b):
+    nx = pytest.importorskip("networkx")
+    expected = nx.is_isomorphic(
+        levi_graph(a), levi_graph(b), node_match=lambda u, v: u["side"] == v["side"]
+    )
+    mapping = isomorphism(a, b)
+    assert (mapping is not None) == expected
+    if mapping is not None:
+        assert sorted(mapping) == list(range(b.n_points))
+        assert sorted(tuple(sorted(mapping[p] for p in l)) for l in a.lines) == sorted(b.lines)
+
+
+def test_isomorphism_raises_when_the_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(
+        search, "embed_search", functools.partial(search.embed_search, budget=3)
+    )
+    with pytest.raises(AntipodalError, match="budget"):
+        isomorphism(antipodal_from_pg24(), cyclic_antipodal(3))
 
 
 def test_mobius_kantor_gf7():

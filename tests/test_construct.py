@@ -3,6 +3,7 @@ import pytest
 from planecode.antipodal import cyclic_antipodal
 from planecode.codes import is_dual_word
 from planecode.construct import (
+    ConstructError,
     NotDisjointError,
     NotSecantError,
     NotVerifiedEmbeddingError,
@@ -106,12 +107,19 @@ def test_baer_diff_secant_choice_and_error(pg9):
 
 def test_subplane_diff_disjoint_baer_pair(pg9):
     s1, s2 = disjoint_baer_pair(pg9)
+    assert s1 == baer_subfield_subplane(pg9)
+    assert s2.points == (4, 13, 22, 32, 39, 54, 58, 70, 73, 83, 85, 87, 89)
     assert not set(s1.points) & set(s2.points)
     w, dual = subplane_diff(pg9, s1, s2)
     assert w.weight == 26
     # two Baer subplanes meet every line in 1 mod p points, so the
     # difference is always orthogonal to every line
     assert dual
+
+
+def test_disjoint_baer_pair_budget(pg9):
+    with pytest.raises(ConstructError, match="within budget"):
+        disjoint_baer_pair(pg9, budget=1)
 
 
 def test_subplane_diff_rejects_overlap(pg9):

@@ -38,6 +38,33 @@ def test_corrupt_plane_fails_validation(tmp_path, pg9):
         formats.plane_from_text("\n".join(lines))
 
 
+FANO = "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
+PLANE, PLS = formats.plane_from_text, formats.pls_from_text
+
+
+@pytest.mark.parametrize(
+    "parse,text,match",
+    [
+        (PLANE, "", r"^line 1: expected 'plane n=.*empty"),
+        (PLS, "\n  \n", r"^line 1: expected 'pls points=.*empty"),
+        (PLANE, "pls points=7 lines=7\n" + FANO, r"^line 1: expected 'plane"),
+        (PLANE, "\nplane n=2 points=7 lines\n" + FANO, r"^line 2: expected"),
+        (PLANE, "plane n=two points=7 lines=7\n" + FANO, r"^line 1: expected"),
+        (PLANE, "plane n=2 points=7\n" + FANO, r"^line 1: expected"),
+        (PLS, "pls lines=1\n0 1\n", r"^line 1: expected 'pls points="),
+        (PLS, "pls points=3 lines=-1\n", r"^line 1: expected"),
+        (PLANE, "plane n=2 points=7 lines=7\n0 1 2\n\n0 3 x\n", r"^line 4: non-integer"),
+        (PLS, "pls points=3 lines=1\n0 1.5\n", r"^line 2: non-integer"),
+        (PLANE, "plane n=2 points=7 lines=6\n" + FANO, r"^line 1: header says lines=6, file has 7"),
+        (PLS, "\npls points=3 lines=2\n0 1\n", r"^line 2: header says lines=2, file has 1"),
+        (PLANE, "plane n=2 points=8 lines=7\n" + FANO, r"^line 1: points=8"),
+    ],
+)
+def test_plane_and_pls_text_reject_malformed_files(parse, text, match):
+    with pytest.raises(formats.FormatError, match=match):
+        parse(text)
+
+
 def test_pls_roundtrip(tmp_path):
     pls = cyclic_antipodal(3)
     path = tmp_path / "ap3.pls"
@@ -101,7 +128,9 @@ def test_word_json_rejects_bad_entries(support, why):
 
 
 @pytest.mark.parametrize(
-    "text", ["word p=3\n0:1\n", "\nword p=x len=4\n", "word p=3 len\n", "word p=3 len=-1\n"]
+    "text",
+    ["", "word p=3\n0:1\n", "\nword p=x len=4\n", "word p=3 len\n", "word p=3 len=-1\n",
+     "plane p=3 len=4\n", "word p=1 len=4\n"],
 )
 def test_word_text_rejects_bad_header(text):
     with pytest.raises(formats.FormatError, match=r"^line [12]: expected 'word p="):

@@ -143,8 +143,18 @@ def test_baer_subplane_needs_square_order():
 def test_subplane_search_finds_fano_in_pg4(pg4):
     out = subplane_search(pg4, 2, limit=3)
     assert len(out.subplanes) == 3
+    assert out.nodes == 3
     for sub in out.subplanes:
         assert sub.order == 2
+        check_subplane(pg4, sub)
+
+
+def test_subplane_search_pg4_exhaustive(pg4):
+    out = subplane_search(pg4, 2, limit=1000)
+    assert out.exhausted
+    assert len(out.subplanes) == 360  # |PGL(3,4)| / |PGL(3,2)| Fano subplanes
+    assert out.nodes == 2520
+    for sub in out.subplanes:
         check_subplane(pg4, sub)
 
 
@@ -167,6 +177,7 @@ def test_subplane_search_budget_exceeded(pg9):
 def test_subplane_search_pg9_no_order2(pg9):
     out = subplane_search(pg9, 2, limit=1)
     assert out.exhausted
+    assert out.nodes == 1769040
     assert not out.budget_exceeded
     assert out.subplanes == []
 
