@@ -154,9 +154,18 @@ def disjoint_baer_pair(
     plane: Plane, budget: int = 10**7
 ) -> tuple[SubplaneResult, SubplaneResult]:
     """A pair of disjoint Baer subplanes, found by closing quadrangles that
-    avoid the subfield Baer subplane."""
+    avoid the subfield Baer subplane.
+
+    Only PG(2,p^2) qualifies: in PG(2,p^h) every quadrangle closes to a
+    PG(2,p), so a Baer order m = p^(h/2) that is not prime is never reached.
+    """
     base = baer_subfield_subplane(plane)
     m = base.order
+    if m != plane.field.p:
+        raise ConstructError(
+            f"Baer order {m} is not prime: every quadrangle of PG(2,{plane.order}) "
+            f"closes to a PG(2,{plane.field.p}), so no closure is a Baer subplane"
+        )
     avoid = set(base.points)
     pool = [x for x in range(plane.npoints) if x not in avoid]
     for nodes, cl in enumerate(_quadrangle_closures(plane, pool, m * m + m + 1), 1):

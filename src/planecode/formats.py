@@ -57,15 +57,22 @@ def _parse_header(text: str, usage: str) -> tuple[int, dict[str, int], list]:
 
 
 def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], list]:
-    """The header and the integer point rows of a plane or pls file; the
-    number of rows must equal the header's lines=."""
+    """The header and the integer point rows of a plane or pls file; every
+    point index must lie below the header's points=, and the number of rows
+    must equal its lines=."""
     line, fields, body = _parse_header(text, usage)
+    npoints = fields["points"]
     rows = []
     for n, entry in body:
         try:
-            rows.append([int(x) for x in entry.split()])
+            row = list(map(int, entry.split()))
         except ValueError:
             raise FormatError(f"line {n}: non-integer entry in {entry.strip()!r}") from None
+        if min(row) < 0 or max(row) >= npoints:
+            raise FormatError(
+                f"line {n}: point index outside 0..{npoints - 1} in {entry.strip()!r}"
+            )
+        rows.append(row)
     if len(rows) != fields["lines"]:
         raise FormatError(
             f"line {line}: header says lines={fields['lines']}, file has {len(rows)} rows"

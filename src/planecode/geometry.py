@@ -13,6 +13,7 @@ identical.  Ingested planes keep file order.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,14 @@ class Plane:
     def __init__(
         self,
         order: int,
-        lines: list[tuple[int, ...]],
+        lines: np.ndarray | list[tuple[int, ...]],  # one row of point indices per line
         source: str,
         field: Field | None = None,
         coords: tuple[tuple[int, int, int], ...] | None = None,
         line_coords: tuple[tuple[int, int, int], ...] | None = None,
     ):
         self.order = order
-        self.npoints = order * order + order + 1
-        self.lines = tuple(tuple(sorted(l)) for l in lines)
+        self.npoints = N = order * order + order + 1
         self.source = source
         self.field = field
         self.coords = coords
@@ -100,58 +100,16 @@ class Plane:
         self._coord_index = (
             {c: i for i, c in enumerate(coords)} if coords is not None else None
         )
-        self._validate()
+        self.lines_arr, self.pair_line = _checked_lines(lines, order)
+        self.lines = _int_rows(self.lines_arr, N)
         self.line_sets = tuple(frozenset(l) for l in self.lines)
-        self.lines_arr = np.array(self.lines, dtype=np.int32)
-        pl: list[list[int]] = [[] for _ in range(self.npoints)]
-        for i, l in enumerate(self.lines):
-            for pt in l:
-                pl[pt].append(i)
-        self.point_lines = tuple(tuple(ls) for ls in pl)
-        self.point_lines_arr = np.array(self.point_lines, dtype=np.int32)
+        # a stable sort of the incidences by point keeps each point's lines ascending
+        by_point = np.argsort(self.lines_arr.ravel(), kind="stable").astype(np.int32)
+        self.point_lines_arr = (by_point // np.int32(order + 1)).reshape(N, order + 1)
+        self.point_lines = _int_rows(self.point_lines_arr, N)
         self._pair_point: np.ndarray | None = None
         self._pair_line_rows_cache: list | None = None
         self._pair_point_rows_cache: list | None = None
-
-    # -- validation -------------------------------------------------------------
-
-    def _validate(self) -> None:
-        n, N = self.order, self.npoints
-        if n < 2:
-            raise BadShapeError(f"plane order must be >= 2, got {n}")
-        if len(self.lines) != N:
-            raise BadShapeError(f"expected {N} lines, got {len(self.lines)}")
-        degrees = np.zeros(N, dtype=np.int64)
-        pair_line = np.full((N, N), -1, dtype=np.int32)
-        for i, l in enumerate(self.lines):
-            if len(l) != n + 1 or len(set(l)) != n + 1:
-                raise AxiomViolationError("line size", (i, l))
-            idx = np.fromiter(l, dtype=np.int64)
-            if idx.min() < 0 or idx.max() >= N:
-                raise BadShapeError(f"line {i} has out-of-range point index")
-            block = pair_line[np.ix_(idx, idx)].copy()
-            np.fill_diagonal(block, -1)
-            hit = np.argwhere(block >= 0)
-            if hit.size:
-                a, b = int(idx[hit[0][0]]), int(idx[hit[0][1]])
-                raise AxiomViolationError(
-                    "two lines through two points", (a, b, int(pair_line[a, b]), i)
-                )
-            pair_line[np.ix_(idx, idx)] = i
-            degrees[idx] += 1
-        np.fill_diagonal(pair_line, -1)
-        if (degrees != n + 1).any():
-            bad = int(np.flatnonzero(degrees != n + 1)[0])
-            raise AxiomViolationError("point degree", (bad, int(degrees[bad])))
-        uncovered = np.argwhere(pair_line < 0)
-        uncovered = uncovered[uncovered[:, 0] != uncovered[:, 1]]
-        if uncovered.size:
-            a, b = map(int, uncovered[0])
-            raise AxiomViolationError("two points on no common line", (a, b))
-        # Every pair of points now lies on exactly one line and all degrees are
-        # n+1, so the (line pair, common point) incidences number
-        # N*C(n+1,2) = C(N,2): any two lines meet in exactly one point.
-        self.pair_line = pair_line
 
     # -- queries ----------------------------------------------------------------
 
@@ -163,20 +121,11 @@ class Plane:
             raise SamePointError(f"line_through needs two distinct points, got {p}")
         return int(self.pair_line[p, q])
 
-    def _build_pair_point(self) -> np.ndarray:
-        N = self.npoints
-        t = np.full((N, N), -1, dtype=np.int32)
-        for pt, ls in enumerate(self.point_lines):
-            idx = np.fromiter(ls, dtype=np.int64)
-            t[np.ix_(idx, idx)] = pt
-        np.fill_diagonal(t, -1)
-        return t
-
     def meet(self, l1: int, l2: int) -> int:
         if l1 == l2:
             raise SameLineError(f"meet needs two distinct lines, got {l1}")
         if self._pair_point is None:
-            self._pair_point = self._build_pair_point()
+            self._pair_point = _pair_table(self.point_lines_arr, self.npoints)
         return int(self._pair_point[l1, l2])
 
     def pair_line_rows(self) -> list:
@@ -187,7 +136,7 @@ class Plane:
 
     def pair_point_rows(self) -> list:
         if self._pair_point is None:
-            self._pair_point = self._build_pair_point()
+            self._pair_point = _pair_table(self.point_lines_arr, self.npoints)
         if self._pair_point_rows_cache is None:
             self._pair_point_rows_cache = self._pair_point.tolist()
         return self._pair_point_rows_cache
@@ -201,6 +150,74 @@ class Plane:
         return f"Plane(order={self.order}, source={self.source!r})"
 
 
+_CHUNK_CELLS = 1 << 17  # table cells per chunk when building or counting a pair table
+
+
+def _checked_lines(lines, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lines (point rows) as an int32 array with sorted rows, and their
+    join table pair_line.  Raises unless they form a projective plane of
+    order n, for the first failing line: on its size or a repeated point, an
+    index out of range, or its first pair (a, b) an earlier line j holds
+    (witness (a, b, j, line))."""
+    N = n * n + n + 1
+    if n < 2:
+        raise BadShapeError(f"plane order must be >= 2, got {n}")
+    if len(lines) != N:
+        raise BadShapeError(f"expected {N} lines, got {len(lines)}")
+    stop = next((i for i, l in enumerate(lines) if len(l) != n + 1), N)
+    arr = np.sort(np.array(lines[:stop], dtype=np.int32).reshape(stop, n + 1), axis=1)
+    bad = (arr[:, 1:] == arr[:, :-1]).any(axis=1) | (arr[:, 0] < 0) | (arr[:, -1] >= N)
+    stop = int(np.argmax(bad)) if bad.any() else stop
+    # N lines of n+1 distinct points hold N(n+1)n = N(N-1) ordered pairs, as many
+    # as pair_line has off-diagonal cells: all are covered iff no pair lies on two
+    # lines.  Then every point has degree n+1, and the N*C(n+1,2) = C(N,2) (line
+    # pair, common point) incidences make any two lines meet exactly once.
+    pair_line = _pair_table(arr[:stop], N)
+    step = max(1, _CHUNK_CELLS // N)  # count in row chunks, with no N x N mask
+    negative = sum(np.count_nonzero(pair_line[s : s + step] < 0) for s in range(0, N, step))
+    if stop == N and negative == N:
+        return arr, pair_line
+    # each pair a < b of the lines before stop as a*N + b, in line order;
+    # a key met earlier in that order is a pair an earlier line holds
+    a, b = np.triu_indices(n + 1, 1)
+    keys = (arr[:stop, a].astype(np.int64) * N + arr[:stop, b]).ravel()
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if later.size:
+        i, k = divmod(int(later.min()), len(a))
+        j = int(np.flatnonzero(keys == keys[i * len(a) + k])[0]) // len(a)
+        witness = (int(arr[i, a[k]]), int(arr[i, b[k]]), j, i)
+        raise AxiomViolationError("two lines through two points", witness)
+    l = tuple(sorted(lines[stop]))
+    if len(l) != n + 1 or len(set(l)) != n + 1:
+        raise AxiomViolationError("line size", (stop, l))
+    raise BadShapeError(f"line {stop} has out-of-range point index")
+
+
+def _pair_table(rows: np.ndarray, N: int) -> np.ndarray:
+    """The N x N table with i at (a, b) for distinct a, b in rows[i], else -1:
+    the join over the lines' points, the meet over the points' lines."""
+    # an anonymous map, returned whole when freed: in the malloc heap, where
+    # glibc puts such tables once one has been freed, the freed space is kept
+    # and fragments (peak RSS of a repeated acceptance suite rose by 10 MB)
+    t = np.frombuffer(mmap.mmap(-1, 4 * N * N), dtype=np.int32).reshape(N, N)
+    t.fill(-1)
+    k = rows.shape[1]
+    step = max(1, _CHUNK_CELLS // (k * k))
+    for s in range(0, len(rows), step):
+        r = rows[s : s + step]
+        ids = np.arange(s, s + len(r), dtype=np.int32)
+        t[r[:, :, None], r[:, None, :]] = ids[:, None, None]
+    np.fill_diagonal(t, -1)
+    return t
+
+
+def _int_rows(arr: np.ndarray, N: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of an index array as tuples sharing one int object per index."""
+    ints = list(range(N))
+    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in arr)
+
+
 def _normalize(f: Field, v: tuple[int, int, int]) -> tuple[int, int, int]:
     for i in range(3):
         if v[i] != 0:
@@ -212,50 +229,45 @@ def _normalize(f: Field, v: tuple[int, int, int]) -> tuple[int, int, int]:
 def pg2(field: Field) -> Plane:
     """The Desarguesian plane PG(2,q) with deterministic lexicographic indexing."""
     q = field.q
+    if field._mul_t is None:
+        raise GeometryError(f"pg2 needs field lookup tables, which GF({q}) is too large for")
     pts: list[tuple[int, int, int]] = [(0, 0, 1)]
     pts += [(0, 1, z) for z in range(q)]
     pts += [(1, y, z) for y in range(q) for z in range(q)]
-    index = {c: i for i, c in enumerate(pts)}
+    coords = tuple(pts)
+    lines = _pg2_lines(field, coords)  # its temporaries are freed before validation
+    return Plane(q, lines, "generated", field=field, coords=coords, line_coords=coords)
 
-    duals: list[tuple[int, int, int]] = [(0, 0, 1)]
-    duals += [(0, 1, z) for z in range(q)]
-    duals += [(1, y, z) for y in range(q) for z in range(q)]
 
-    neg = field.neg
-    lines = []
-    for a, b, c in duals:
-        # kernel basis of a*x + b*y + c*z = 0
-        if a == 1:
-            v1, v2 = (neg(b), 1, 0), (neg(c), 0, 1)
-        elif b == 1:
-            v1, v2 = (1, 0, 0), (0, neg(c), 1)
-        else:
-            v1, v2 = (1, 0, 0), (0, 1, 0)
-        members = [index[_normalize(field, v2)]]
-        for t in range(q):
-            w = (
-                field.add(field.mul(t, v2[0]), v1[0]),
-                field.add(field.mul(t, v2[1]), v1[1]),
-                field.add(field.mul(t, v2[2]), v1[2]),
-            )
-            members.append(index[_normalize(field, w)])
-        lines.append(tuple(sorted(members)))
-
-    return Plane(
-        q,
-        lines,
-        "generated",
-        field=field,
-        coords=tuple(pts),
-        line_coords=tuple(duals),
-    )
+def _pg2_lines(field: Field, coords: tuple[tuple[int, int, int], ...]) -> np.ndarray:
+    """The point indices on each line of PG(2,q), unsorted; line i is coords[i]."""
+    q = field.q
+    mul, add, inv, neg = field._mul_t, field._add_t, field._inv_t, field._neg_t.tolist()
+    # kernel basis v1, v2 of a*x + b*y + c*z = 0; the line's points are v2 and t*v2 + v1
+    basis = [
+        ((neg[b], 1, 0), (neg[c], 0, 1)) if a == 1
+        else ((1, 0, 0), (0, neg[c], 1)) if b == 1
+        else ((1, 0, 0), (0, 1, 0))
+        for a, b, c in coords
+    ]
+    v1, v2 = np.array(basis, dtype=np.int32).swapaxes(0, 1)
+    t = np.arange(q, dtype=np.int32)[None, :, None]
+    w = np.concatenate([v2[:, None, :], add[mul[t, v2[:, None, :]], v1[:, None, :]]], axis=1)
+    # normalise by the inverse of the leading coordinate, then index:
+    # (0,0,1) -> 0, (0,1,z) -> 1+z, (1,y,z) -> 1+q+q*y+z
+    x, y, z = w[..., 0], w[..., 1], w[..., 2]
+    s = inv[np.where(x != 0, x, np.where(y != 0, y, z))]
+    ny, nz = mul[s, y], mul[s, z]
+    return np.where(x != 0, 1 + q + q * ny + nz, np.where(y != 0, 1 + nz, 0))
 
 
 def plane_from_incidence(rows: list[list[int]], n: int) -> Plane:
     """Build a validated plane of order n from raw point-index rows (one per line)."""
     if n > INGEST_ORDER_CAP:
         raise BadShapeError(f"ingestion is capped at order {INGEST_ORDER_CAP}, got {n}")
-    return Plane(n, [tuple(r) for r in rows], "ingested")
+    if any(min(r) < -(2**31) or max(r) >= 2**31 for r in rows if len(r)):
+        raise BadShapeError("a point index does not fit in 32 bits")
+    return Plane(n, rows, "ingested")
 
 
 # -- subplanes -------------------------------------------------------------------

@@ -306,11 +306,13 @@ def embed_search(
 
     exclude bars a set of plane points from use as images; it disables
     frame normalization (excluding points breaks frame transitivity).
-    With normalize=False the target may also be a PartialLinearSpace.
+    The target may also be a PartialLinearSpace, which is searched as a
+    plane that is not generated (no frame normalization).
     """
+    generated = getattr(plane, "source", None) == "generated"  # a PLS has no source
     if normalize is None:
-        normalize = plane.source == "generated" and not exclude
-    if normalize and plane.source != "generated":
+        normalize = generated and not exclude
+    if normalize and not generated:
         raise SearchError("frame normalization needs a generated plane")
     if normalize and exclude:
         raise SearchError("frame normalization cannot be combined with exclusions")

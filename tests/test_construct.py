@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from planecode.antipodal import cyclic_antipodal
@@ -120,6 +122,14 @@ def test_subplane_diff_disjoint_baer_pair(pg9):
 def test_disjoint_baer_pair_budget(pg9):
     with pytest.raises(ConstructError, match="within budget"):
         disjoint_baer_pair(pg9, budget=1)
+
+
+def test_disjoint_baer_pair_refuses_non_prime_order():
+    plane = pg2(field_new(2, 4))
+    t0 = time.perf_counter()
+    with pytest.raises(ConstructError, match="Baer order 4 is not prime"):
+        disjoint_baer_pair(plane)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_subplane_diff_rejects_overlap(pg9):

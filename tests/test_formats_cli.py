@@ -58,6 +58,11 @@ PLANE, PLS = formats.plane_from_text, formats.pls_from_text
         (PLANE, "plane n=2 points=7 lines=6\n" + FANO, r"^line 1: header says lines=6, file has 7"),
         (PLS, "\npls points=3 lines=2\n0 1\n", r"^line 2: header says lines=2, file has 1"),
         (PLANE, "plane n=2 points=8 lines=7\n" + FANO, r"^line 1: points=8"),
+        (PLANE, "plane n=2 points=7 lines=7\n" + FANO.replace("0 3 4", "0 3 99999999999999999999999"),
+         r"^line 3: point index outside 0\.\.6"),
+        (PLANE, "plane n=2 points=7 lines=7\n" + FANO.replace("2 4 5", "2 4 7"),
+         r"^line 8: point index outside 0\.\.6"),
+        (PLS, "pls points=3 lines=1\n\n-1 1\n", r"^line 3: point index outside 0\.\.2"),
     ],
 )
 def test_plane_and_pls_text_reject_malformed_files(parse, text, match):

@@ -1,9 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 
 from planecode.field import field_new
 from planecode.geometry import (
     AxiomViolationError,
     BadShapeError,
+    GeometryError,
     NotSquareOrderError,
     NotThroughVertexError,
     SameLineError,
@@ -93,6 +97,11 @@ def test_ingest_bad_shape():
         plane_from_incidence(FANO_LINES[:5], 2)
     with pytest.raises(BadShapeError):
         plane_from_incidence(FANO_LINES, 50 + 1)
+    for huge in (2**31, 99999999999999999999999, -(2**31) - 1):
+        rows = [list(l) for l in FANO_LINES]
+        rows[6][2] = huge
+        with pytest.raises(BadShapeError, match="32 bits"):
+            plane_from_incidence(rows, 2)
 
 
 def test_line_through_symmetric_on_fano():
@@ -264,3 +273,187 @@ def test_menelaos_precondition(pg9):
     through = pg9.point_lines[a1][0]
     with pytest.raises(NotThroughVertexError):
         menelaos_product(pg9, through)
+
+
+# -- the loop implementations, kept as oracles ----------------------------------
+
+
+def reference_pg2(field):
+    """Points and lines of PG(2,q) by per-element field calls and an index dict."""
+    q = field.q
+    pts = [(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+    pts += [(1, y, z) for y in range(q) for z in range(q)]
+    index = {c: i for i, c in enumerate(pts)}
+
+    def normalize(v):
+        for i in range(3):
+            if v[i] != 0:
+                s = field.inv(v[i])
+                return (field.mul(s, v[0]), field.mul(s, v[1]), field.mul(s, v[2]))
+
+    neg = field.neg
+    lines = []
+    for a, b, c in pts:
+        if a == 1:
+            v1, v2 = (neg(b), 1, 0), (neg(c), 0, 1)
+        elif b == 1:
+            v1, v2 = (1, 0, 0), (0, neg(c), 1)
+        else:
+            v1, v2 = (1, 0, 0), (0, 1, 0)
+        members = [index[normalize(v2)]]
+        for t in range(q):
+            w = tuple(field.add(field.mul(t, v2[i]), v1[i]) for i in range(3))
+            members.append(index[normalize(w)])
+        lines.append(tuple(sorted(members)))
+    return tuple(pts), tuple(lines)
+
+
+def reference_validate(lines, n):
+    """The line-by-line axiom check: pair_line, or the first violation raised."""
+    N = n * n + n + 1
+    lines = [tuple(sorted(l)) for l in lines]
+    if len(lines) != N:
+        raise BadShapeError(f"expected {N} lines, got {len(lines)}")
+    degrees = np.zeros(N, dtype=np.int64)
+    pair_line = np.full((N, N), -1, dtype=np.int32)
+    for i, l in enumerate(lines):
+        if len(l) != n + 1 or len(set(l)) != n + 1:
+            raise AxiomViolationError("line size", (i, l))
+        idx = np.fromiter(l, dtype=np.int64)
+        if idx.min() < 0 or idx.max() >= N:
+            raise BadShapeError(f"line {i} has out-of-range point index")
+        block = pair_line[np.ix_(idx, idx)].copy()
+        np.fill_diagonal(block, -1)
+        hit = np.argwhere(block >= 0)
+        if hit.size:
+            a, b = int(idx[hit[0][0]]), int(idx[hit[0][1]])
+            raise AxiomViolationError(
+                "two lines through two points", (a, b, int(pair_line[a, b]), i)
+            )
+        pair_line[np.ix_(idx, idx)] = i
+        degrees[idx] += 1
+    np.fill_diagonal(pair_line, -1)
+    if (degrees != n + 1).any():
+        bad = int(np.flatnonzero(degrees != n + 1)[0])
+        raise AxiomViolationError("point degree", (bad, int(degrees[bad])))
+    uncovered = np.argwhere(pair_line < 0)
+    uncovered = uncovered[uncovered[:, 0] != uncovered[:, 1]]
+    if uncovered.size:
+        a, b = map(int, uncovered[0])
+        raise AxiomViolationError("two points on no common line", (a, b))
+    return pair_line
+
+
+def reference_point_lines(lines, N):
+    pl = [[] for _ in range(N)]
+    for i, l in enumerate(lines):
+        for pt in l:
+            pl[pt].append(i)
+    return tuple(tuple(ls) for ls in pl)
+
+
+def reference_pair_point(point_lines, N):
+    t = np.full((N, N), -1, dtype=np.int32)
+    for pt, ls in enumerate(point_lines):
+        idx = np.fromiter(ls, dtype=np.int64)
+        t[np.ix_(idx, idx)] = pt
+    np.fill_diagonal(t, -1)
+    return t
+
+
+ORACLE_FIELDS = {
+    2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
+    11: (11, 1), 13: (13, 1), 16: (2, 4), 25: (5, 2), 27: (3, 3), 32: (2, 5),
+}
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_FIELDS))
+def test_pg2_matches_reference(q):
+    field = field_new(*ORACLE_FIELDS[q])
+    plane = pg2(field)
+    coords, lines = reference_pg2(field)
+    N = q * q + q + 1
+    assert plane.coords == coords
+    assert plane.line_coords == coords  # lines are indexed like points
+    assert plane.lines == lines
+    assert plane.lines_arr.dtype == np.int32
+    assert np.array_equal(plane.lines_arr, np.array(lines))
+    point_lines = reference_point_lines(lines, N)
+    assert plane.point_lines == point_lines
+    assert plane.point_lines_arr.dtype == np.int32
+    assert np.array_equal(plane.point_lines_arr, np.array(point_lines))
+    assert np.array_equal(plane.pair_line, reference_validate(lines, q))
+    assert np.array_equal(plane.pair_point_rows(), reference_pair_point(point_lines, N))
+    assert [plane.point_index(c) for c in coords] == list(range(N))
+
+
+def test_pg2_refuses_a_field_without_tables():
+    with pytest.raises(GeometryError):
+        pg2(field_new(2, 13))
+
+
+def _swap_between_lines(rows, rng):
+    i, j = rng.sample(range(len(rows)), 2)
+    x = rng.choice(sorted(set(rows[i]) - set(rows[j])))
+    y = rng.choice(sorted(set(rows[j]) - set(rows[i])))
+    rows[i][rows[i].index(x)], rows[j][rows[j].index(y)] = y, x
+
+
+def _duplicate_line(rows, rng):
+    i, j = rng.sample(range(len(rows)), 2)
+    rows[j] = list(rows[i])
+
+
+def _repeat_point(rows, rng):
+    row = rows[rng.randrange(len(rows))]
+    a, b = rng.sample(range(len(row)), 2)
+    row[a] = row[b]
+
+
+def _short_line(rows, rng):
+    row = rows[rng.randrange(len(rows))]
+    row.pop(rng.randrange(len(row)))
+
+
+def _out_of_range(rows, rng):
+    row = rows[rng.randrange(len(rows))]
+    row[rng.randrange(len(row))] = rng.choice([-1, len(rows), len(rows) + 7])
+
+
+def _missing_line(rows, rng):
+    del rows[rng.randrange(len(rows))]
+
+
+CORRUPTIONS = [
+    _swap_between_lines, _duplicate_line, _repeat_point,
+    _short_line, _out_of_range, _missing_line,
+]
+
+
+def _outcome(build):
+    try:
+        build()
+    except AxiomViolationError as e:
+        return AxiomViolationError, e.axiom, e.witness
+    except GeometryError as e:
+        return type(e), None, None
+    return None
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (3, 2)])
+def test_validate_matches_reference_on_corruptions(p, h, corrupt):
+    plane = pg2(field_new(p, h))
+    for seed in range(8):
+        rng = random.Random(seed)
+        rows = [list(l) for l in plane.lines]
+        perm = list(range(plane.npoints))
+        rng.shuffle(perm)
+        rows = [[perm[x] for x in rows[i]] for i in perm]
+        corrupt(rows, rng)
+        for _ in range(seed % 3):  # later seeds add other faults, to test their order
+            rng.choice(CORRUPTIONS)(rows, rng)
+        got = _outcome(lambda: plane_from_incidence(rows, plane.order))
+        want = _outcome(lambda: reference_validate(rows, plane.order))
+        assert got is not None
+        assert got == want

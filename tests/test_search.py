@@ -48,6 +48,17 @@ def test_normalize_frame_single_line_fails():
         normalize_frame(pls)
 
 
+def test_pls_target_default_is_plain_search():
+    default = embed_search(MK, MK, cap=100)
+    plain = embed_search(MK, MK, cap=100, normalize=False)
+    assert default.status == plain.status == "found"
+    assert default.embeddings == plain.embeddings
+    assert len(default.embeddings) == 48  # the automorphisms of the Moebius-Kantor configuration
+    assert default.stats.nodes == plain.stats.nodes
+    with pytest.raises(SearchError):
+        embed_search(MK, MK, normalize=True)
+
+
 def test_mk_embeds_in_pg27():
     out = embed_search(MK, plane_of(7))
     assert out.status == "found"
