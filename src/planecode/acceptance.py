@@ -219,14 +219,13 @@ def criterion_8_menelaos_ceva(ctx: AcceptanceContext) -> CriterionResult:
     for q in (3, 4, 5, 7, 9):
         plane = ctx.plane(*FIELD_OF[q])
         a1, a2, a3 = fundamental_triangle(plane)
-        tri = {a1, a2, a3}
         sides = (
             plane.line_sets[plane.line_through(a2, a3)]
             | plane.line_sets[plane.line_through(a1, a3)]
             | plane.line_sets[plane.line_through(a1, a2)]
         )
         minus_one = plane.field.neg(1)
-        lines = [l for l in range(plane.npoints) if not (tri & plane.line_sets[l])]
+        lines = np.flatnonzero(plane.line_counts((a1, a2, a3)) == 0).tolist()
         points = [x for x in range(plane.npoints) if x not in sides]
         men = all(menelaos_product(plane, l) == minus_one for l in lines)
         cev = all(ceva_product(plane, x) == 1 for x in points)

@@ -27,7 +27,7 @@ from .antipodal import (
     validate_antipodal,
 )
 from .codes import CodeWord, indicator, is_dual_word, word_diff
-from .geometry import Plane, SubplaneResult, check_subplane
+from .geometry import Plane, SubplaneResult, _restricted_lines, subplane_result_from_points
 from .field import is_prime
 
 PASS, FAIL, NA = "pass", "fail", "na"
@@ -149,10 +149,6 @@ class WordAnalysis:
         }
 
 
-def _plane_square_prime(plane: Plane, p: int) -> bool:
-    return plane.order == p * p
-
-
 def canonicalize(word: CodeWord, x_counts: np.ndarray, support: np.ndarray) -> CodeWord:
     """Scale the word so colour 1 occurs; among those scalings prefer one
     where a point of K_{p-1} attains the minimal 2-secant count, then the
@@ -186,9 +182,7 @@ def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> Wo
         raise NotDualWordError(f"word is not in the dual code; witness line {witness}")
 
     support = word.support
-    mask = np.zeros(plane.npoints, dtype=np.int64)
-    mask[support] = 1
-    line_counts = mask[plane.lines_arr].sum(axis=1)
+    line_counts = plane.line_counts(support)
     tangents = int((line_counts == 1).sum())
 
     per_point = line_counts[plane.point_lines_arr[support]] if support.size else np.zeros((0, plane.order + 1), dtype=np.int64)
@@ -199,7 +193,7 @@ def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> Wo
     canonical = canonicalize(word, x, support)
     colours = {lam: int(pos.size) for lam, pos in canonical.colour_classes().items()}
 
-    square = _plane_square_prime(plane, p)
+    square = plane.order == p * p
     epsilon = word.weight - (2 * p * p - 2 * p + 2) if square else None
     in_band = square and epsilon is not None and 1 <= epsilon <= p - 2 and dual
 
@@ -439,10 +433,7 @@ def extract_baer(
     k_small = np.flatnonzero((c.values != 0) & (c.values != lam_big))
 
     small_set = set(k_small.tolist())
-    m = np.zeros(plane.npoints, dtype=np.int64)
-    m[k_small] = 1
-    counts = m[plane.lines_arr].sum(axis=1)
-    full = np.flatnonzero(counts == len(small_set))
+    full = np.flatnonzero(plane.line_counts(k_small) == len(small_set))
     if full.size != 1:
         raise StructureMismatchError("no single line containing all of the small class")
     secant = int(full[0])
@@ -451,15 +442,9 @@ def extract_baer(
     aa = [pt for pt in plane.lines[secant] if pt not in small_set]
     if len(aa) != p + 1:
         raise StructureMismatchError("secant remainder is not p+1 points", f"{len(aa)}")
-    pts = sorted(set(k_big.tolist()) | set(aa))
-    secants = [
-        l for l, ls in enumerate(plane.line_sets) if len(ls.intersection(pts)) == p + 1
-    ]
-    sub = SubplaneResult(tuple(pts), tuple(secants), p)
-    try:
-        check_subplane(plane, sub)
-    except Exception as e:
-        raise StructureMismatchError("reassembled point set is not a subplane", str(e))
+    sub = subplane_result_from_points(plane, frozenset(k_big.tolist()) | frozenset(aa), p)
+    if sub is None:
+        raise StructureMismatchError("reassembled point set is not a subplane", f"of order {p}")
     rebuilt = word_diff(
         indicator(sub.points, plane.npoints, p),
         indicator(plane.lines[secant], plane.npoints, p),
@@ -495,15 +480,8 @@ def extract_antipodal(
     out = []
     for lam in (1, p - 1):
         pts = np.flatnonzero(c.values == lam)
-        pset = set(pts.tolist())
-        local = {pt: i for i, pt in enumerate(sorted(pset))}
-        lines = []
-        for ls in plane.line_sets:
-            hit = ls & pset
-            if len(hit) == p:
-                lines.append(tuple(sorted(local[x] for x in hit)))
         try:
-            pls = PartialLinearSpace(len(pset), lines)
+            pls = PartialLinearSpace(pts.size, _restricted_lines(plane, pts, p))
             ap = validate_antipodal(pls)
         except AntipodalError as e:
             raise StructureMismatchError(f"class {lam} is not antipodal", str(e))
@@ -511,5 +489,5 @@ def extract_antipodal(
             raise StructureMismatchError(
                 f"class {lam} has order {ap.order}, expected {p - 1}"
             )
-        out.append((tuple(sorted(pset)), ap))
+        out.append((tuple(pts.tolist()), ap))
     return out[0], out[1]

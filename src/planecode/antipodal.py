@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .geometry import NotGeneratedError, Plane, _normalize, baer_subfield_subplane, pg2
+from .geometry import NotGeneratedError, Plane, _restricted_lines, baer_subfield_subplane, pg2
 
 
 class AntipodalError(ValueError):
@@ -164,16 +164,10 @@ def antipodal_from_pg24() -> PartialLinearSpace:
     """Complement of a Fano subplane in PG(2,4): 14 points, the 14
     non-extended lines, an antipodal plane of order 3."""
     plane = pg2(Field(2, 2))
-    fano = baer_subfield_subplane(plane)
-    fano_pts = set(fano.points)
-    keep_pts = sorted(set(range(plane.npoints)) - fano_pts)
-    local = {p: i for i, p in enumerate(keep_pts)}
-    lines = [
-        tuple(sorted(local[p] for p in plane.lines[l] if p not in fano_pts))
-        for l in range(plane.npoints)
-        if l not in set(fano.lines)
-    ]
-    return PartialLinearSpace(len(keep_pts), lines)
+    fano = set(baer_subfield_subplane(plane).points)
+    keep_pts = [x for x in range(plane.npoints) if x not in fano]
+    # every line but the subplane's 7 meets it in one point and keeps 4 points
+    return PartialLinearSpace(len(keep_pts), _restricted_lines(plane, keep_pts, 4))
 
 
 def mobius_kantor_points(
@@ -219,22 +213,14 @@ def mobius_kantor_pls(
     """
     if plane.field is None:
         raise NotGeneratedError("Mobius-Kantor points need a generated plane")
-    f = plane.field
-    pts = [
-        plane.point_index(_normalize(f, c))
-        for c in mobius_kantor_points(f, omega)
-    ]
+    pts = [plane.point_index(c) for c in mobius_kantor_points(plane.field, omega)]
     if len(set(pts)) != 8:
         raise AntipodalError("Mobius-Kantor points are not distinct in this plane")
-    pset = set(pts)
-    local = {p: i for i, p in enumerate(pts)}
-    lines = []
-    for l, ls in enumerate(plane.line_sets):
-        hit = ls & pset
-        if len(hit) >= 3:
-            if len(hit) > 3:
-                raise AntipodalError(f"ambient line {l} contains {len(hit)} MK points")
-            lines.append(tuple(sorted(local[p] for p in hit)))
+    counts = plane.line_counts(pts)
+    if (counts > 3).any():
+        l = int((counts > 3).argmax())
+        raise AntipodalError(f"ambient line {l} contains {counts[l]} MK points")
+    lines = _restricted_lines(plane, pts, 3)
     if len(lines) != 8:
         raise AntipodalError(f"expected 8 ambient 3-point lines, found {len(lines)}")
     return PartialLinearSpace(8, lines), tuple(pts)

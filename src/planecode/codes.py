@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import is_prime
+from .field import is_prime, prime_of_power
 from .geometry import Plane
 
 DEFAULT_ENUM_BUDGET = 2**24
@@ -214,10 +214,7 @@ def code_of_plane(plane: Plane, p: int, allow_prime_mismatch: bool = False) -> L
     """The p-ary code of the plane: GF(p)-span of the incidence rows."""
     if not is_prime(p):
         raise CodesError(f"p must be prime, got {p}")
-    n = plane.order
-    while n % p == 0:
-        n //= p
-    if n != 1 and not allow_prime_mismatch:
+    if not allow_prime_mismatch and prime_of_power(plane.order) != p:
         raise PrimeMismatchError(
             f"plane order {plane.order} is not a power of {p}; "
             "pass allow_prime_mismatch=True to proceed anyway"

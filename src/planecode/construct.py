@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .antipodal import PartialLinearSpace
 from .codes import CodeWord, indicator, is_dual_word, word_diff
+from .field import prime_of_power
 from .geometry import (
     Plane,
     SameLineError,
@@ -30,6 +31,10 @@ class ConstructError(ValueError):
 
 
 class NotSecantError(ConstructError):
+    pass
+
+
+class LineIndexError(ConstructError):
     pass
 
 
@@ -52,19 +57,19 @@ def _scaled(w: CodeWord, plane: Plane, raw: bool) -> CodeWord:
     return w.scale(pow(lead, w.p - 2, w.p))
 
 
-def _plane_prime(plane: Plane) -> int:
-    n = plane.order
-    p = 2
-    while n % p:
-        p += 1
-    return p
+def _check_line(plane: Plane, l: int) -> None:
+    # a negative index would silently take a line from the end
+    if not 0 <= l < plane.npoints:
+        raise LineIndexError(f"line {l} is outside 0..{plane.npoints - 1}")
 
 
 def line_diff(plane: Plane, l1: int, l2: int, raw: bool = False) -> CodeWord:
     """Difference of two line indicator vectors: a dual word of weight 2n."""
+    _check_line(plane, l1)
+    _check_line(plane, l2)
     if l1 == l2:
         raise SameLineError("line_diff needs two distinct lines")
-    p = _plane_prime(plane)
+    p = prime_of_power(plane.order)
     w = word_diff(
         indicator(plane.lines[l1], plane.npoints, p),
         indicator(plane.lines[l2], plane.npoints, p),
@@ -86,13 +91,14 @@ def baer_diff(
     raw: bool = False,
 ) -> CodeWord:
     """Difference of a Baer subplane and one of its secants: weight 2p^2-p."""
-    p = _plane_prime(plane)
+    p = prime_of_power(plane.order)
     if plane.order != sub.order * sub.order:
         raise NotSecantError(
             f"subplane of order {sub.order} is not a Baer subplane of a plane of order {plane.order}"
         )
     if secant is None:
         secant = sub.lines[0]  # lexicographically first secant
+    _check_line(plane, secant)
     if len(plane.line_sets[secant] & set(sub.points)) != sub.order + 1:
         raise NotSecantError(f"line {secant} is not a secant of the subplane")
     w = word_diff(
@@ -116,7 +122,7 @@ def subplane_diff(
     s1, s2 = set(sub1.points), set(sub2.points)
     if s1 & s2:
         raise NotDisjointError(f"subplanes share points {sorted(s1 & s2)[:4]}")
-    p = _plane_prime(plane)
+    p = prime_of_power(plane.order)
     w = word_diff(
         indicator(sub1.points, plane.npoints, p),
         indicator(sub2.points, plane.npoints, p),
@@ -141,7 +147,7 @@ def antipodal_diff(
     pts2 = set(second[1].point_map)
     if pts1 & pts2:
         raise NotDisjointError(f"embeddings share points {sorted(pts1 & pts2)[:4]}")
-    p = _plane_prime(plane)
+    p = prime_of_power(plane.order)
     w = word_diff(
         indicator(sorted(pts1), plane.npoints, p),
         indicator(sorted(pts2), plane.npoints, p),

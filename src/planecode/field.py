@@ -55,6 +55,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_of_power(n: int) -> int:
+    """The prime p of a prime power n = p^h, h >= 1; FieldError for any other n."""
+    if n >= 2:
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        k = n
+        while k % p == 0:
+            k //= p
+        if k == 1:
+            return p
+    raise FieldError(f"{n} is not a prime power")
+
+
 def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()

@@ -97,9 +97,6 @@ class Plane:
         self.field = field
         self.coords = coords
         self.line_coords = line_coords
-        self._coord_index = (
-            {c: i for i, c in enumerate(coords)} if coords is not None else None
-        )
         self.lines_arr, self.pair_line = _checked_lines(lines, order)
         self.lines = _int_rows(self.lines_arr, N)
         self.line_sets = tuple(frozenset(l) for l in self.lines)
@@ -108,8 +105,8 @@ class Plane:
         self.point_lines_arr = (by_point // np.int32(order + 1)).reshape(N, order + 1)
         self.point_lines = _int_rows(self.point_lines_arr, N)
         self._pair_point: np.ndarray | None = None
-        self._pair_line_rows_cache: list | None = None
-        self._pair_point_rows_cache: list | None = None
+        self._pair_line_rows_cache: tuple | None = None
+        self._pair_point_rows_cache: tuple | None = None
 
     # -- queries ----------------------------------------------------------------
 
@@ -128,23 +125,37 @@ class Plane:
             self._pair_point = _pair_table(self.point_lines_arr, self.npoints)
         return int(self._pair_point[l1, l2])
 
-    def pair_line_rows(self) -> list:
-        """pair_line as nested lists, for hot pure-Python loops."""
+    def pair_line_rows(self) -> tuple:
+        """pair_line as row tuples, for hot pure-Python loops."""
         if self._pair_line_rows_cache is None:
-            self._pair_line_rows_cache = self.pair_line.tolist()
+            self._pair_line_rows_cache = _int_rows(self.pair_line, self.npoints)
         return self._pair_line_rows_cache
 
-    def pair_point_rows(self) -> list:
+    def pair_point_rows(self) -> tuple:
         if self._pair_point is None:
             self._pair_point = _pair_table(self.point_lines_arr, self.npoints)
         if self._pair_point_rows_cache is None:
-            self._pair_point_rows_cache = self._pair_point.tolist()
+            self._pair_point_rows_cache = _int_rows(self._pair_point, self.npoints)
         return self._pair_point_rows_cache
 
     def point_index(self, coord: tuple[int, int, int]) -> int:
-        if self._coord_index is None:
+        """The index of the point with homogeneous coordinates coord, any
+        nonzero triple of field element codes (not only the normalised one)."""
+        if self.field is None:
             raise NotGeneratedError("plane has no coordinates")
-        return self._coord_index[coord]
+        q = self.field.q
+        if len(coord) != 3 or not any(coord) or not all(0 <= c < q for c in coord):
+            raise GeometryError(f"{coord} is not a nonzero triple over GF({q})")
+        return int(_point_indices(self.field, *coord))
+
+    def line_counts(self, points) -> np.ndarray:
+        """For every line l, |l & S| (int64), where S is the set of the points."""
+        idx = np.asarray(list(points) if isinstance(points, (set, frozenset)) else points)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.npoints):
+            raise GeometryError(f"a point index is outside 0..{self.npoints - 1}")
+        mask = np.zeros(self.npoints, dtype=np.int64)
+        mask[idx.astype(np.int64)] = 1
+        return mask[self.lines_arr].sum(axis=1)
 
     def __repr__(self) -> str:
         return f"Plane(order={self.order}, source={self.source!r})"
@@ -213,17 +224,10 @@ def _pair_table(rows: np.ndarray, N: int) -> np.ndarray:
 
 
 def _int_rows(arr: np.ndarray, N: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of an index array as tuples sharing one int object per index."""
-    ints = list(range(N))
+    """The rows of an array of indices or -1 as tuples sharing one int object
+    per value (ints[-1] is -1, the empty cells of the pair tables)."""
+    ints = [*range(N), -1]
     return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in arr)
-
-
-def _normalize(f: Field, v: tuple[int, int, int]) -> tuple[int, int, int]:
-    for i in range(3):
-        if v[i] != 0:
-            s = f.inv(v[i])
-            return (f.mul(s, v[0]), f.mul(s, v[1]), f.mul(s, v[2]))
-    raise GeometryError("zero vector has no projective normalization")
 
 
 def pg2(field: Field) -> Plane:
@@ -242,7 +246,7 @@ def pg2(field: Field) -> Plane:
 def _pg2_lines(field: Field, coords: tuple[tuple[int, int, int], ...]) -> np.ndarray:
     """The point indices on each line of PG(2,q), unsorted; line i is coords[i]."""
     q = field.q
-    mul, add, inv, neg = field._mul_t, field._add_t, field._inv_t, field._neg_t.tolist()
+    mul, add, neg = field._mul_t, field._add_t, field._neg_t.tolist()
     # kernel basis v1, v2 of a*x + b*y + c*z = 0; the line's points are v2 and t*v2 + v1
     basis = [
         ((neg[b], 1, 0), (neg[c], 0, 1)) if a == 1
@@ -253,12 +257,17 @@ def _pg2_lines(field: Field, coords: tuple[tuple[int, int, int], ...]) -> np.nda
     v1, v2 = np.array(basis, dtype=np.int32).swapaxes(0, 1)
     t = np.arange(q, dtype=np.int32)[None, :, None]
     w = np.concatenate([v2[:, None, :], add[mul[t, v2[:, None, :]], v1[:, None, :]]], axis=1)
-    # normalise by the inverse of the leading coordinate, then index:
-    # (0,0,1) -> 0, (0,1,z) -> 1+z, (1,y,z) -> 1+q+q*y+z
-    x, y, z = w[..., 0], w[..., 1], w[..., 2]
-    s = inv[np.where(x != 0, x, np.where(y != 0, y, z))]
-    ny, nz = mul[s, y], mul[s, z]
-    return np.where(x != 0, 1 + q + q * ny + nz, np.where(y != 0, 1 + nz, 0))
+    return _point_indices(field, w[..., 0], w[..., 1], w[..., 2])
+
+
+def _point_indices(field: Field, x, y, z):
+    """The point index of the nonzero triple (x, y, z), ints or arrays alike."""
+    q, mul = field.q, field._mul_t
+    # scale by the inverse of the leading coordinate (x, else y, else z), then
+    # (0,0,1) -> 0, (0,1,z) -> 1+z, (1,y,z) -> 1+q+q*y+z; without branches, so a
+    # single query costs no array round trip
+    s = field._inv_t[x + (x == 0) * (y + (y == 0) * z)]
+    return (x != 0) * (q + q * mul[s, y]) + ((x != 0) | (y != 0)) * (1 + mul[s, z])
 
 
 def plane_from_incidence(rows: list[list[int]], n: int) -> Plane:
@@ -286,36 +295,27 @@ def baer_subfield_subplane(plane: Plane) -> SubplaneResult:
     if f.h % 2 != 0:
         raise NotSquareOrderError(f"order {plane.order} is not a square of a subfield order")
     d = f.h // 2
-    m = f.p**d
-    pts = [
-        i for i, c in enumerate(plane.coords) if all(f.in_subfield(x, d) for x in c)
-    ]
-    sub_lines = [
-        i for i, l in enumerate(plane.line_sets) if len(l.intersection(pts)) == m + 1
-    ]
-    res = SubplaneResult(tuple(pts), tuple(sub_lines), m)
-    check_subplane(plane, res)
+    inside = {x for x in f.elements() if f.in_subfield(x, d)}
+    pts = frozenset(i for i, c in enumerate(plane.coords) if inside.issuperset(c))
+    res = subplane_result_from_points(plane, pts, f.p**d)
+    if res is None:
+        raise GeometryError(f"the GF({f.p}^{d}) points of {plane} are not a subplane")
     return res
 
 
 def check_subplane(plane: Plane, sub: SubplaneResult) -> None:
-    """Raise unless the restricted incidence is a projective plane of order m."""
-    m = sub.order
-    pts = set(sub.points)
-    if len(pts) != m * m + m + 1 or len(sub.lines) != m * m + m + 1:
-        raise GeometryError(f"not a subplane of order {m}: wrong sizes")
-    for l in sub.lines:
-        if len(plane.line_sets[l].intersection(pts)) != m + 1:
-            raise GeometryError(f"line {l} does not meet the subplane in {m + 1} points")
-    for l in range(plane.npoints):
-        k = len(plane.line_sets[l].intersection(pts))
-        if k > 1 and l not in sub.lines:
-            raise GeometryError(f"line {l} meets the subplane in {k} points but is not listed")
+    """Raise unless the restricted incidence is a projective plane of order m
+    whose lines, in any order, are the listed ones."""
+    res = subplane_result_from_points(plane, frozenset(sub.points), sub.order)
+    if res is None:
+        raise GeometryError(f"the points are not a subplane of order {sub.order}")
+    if tuple(sorted(sub.lines)) != res.lines:
+        raise GeometryError(f"the listed lines are not the {len(res.lines)} secants")
 
 
 def _closure(
-    pair_line: list,
-    pair_point: list,
+    pair_line: tuple,
+    pair_point: tuple,
     seed: tuple[int, int, int, int],
     cap: int,
     min_point: int,
@@ -357,24 +357,30 @@ def _closure(
 
 def subplane_result_from_points(plane: Plane, pts: frozenset, m: int) -> SubplaneResult | None:
     """Validate a candidate point set as a subplane of order m; None if it is not one."""
-    if len(pts) != m * m + m + 1:
+    N = m * m + m + 1
+    if len(pts) != N or min(pts) < 0 or max(pts) >= plane.npoints:
         return None
-    secants = []
-    for l, ls in enumerate(plane.line_sets):
-        k = len(ls & pts)
-        if k > 1:
-            if k != m + 1:
-                return None
-            secants.append(l)
-    if len(secants) != m * m + m + 1:
+    counts = plane.line_counts(pts)
+    # With every line meeting the set in 0, 1 or m+1 points, each of its
+    # C(N,2) pairs lies on one secant and each secant holds C(m+1,2) of them,
+    # so there are N(N-1)/(m(m+1)) = N secants, and the m^2+m points other
+    # than a point x fall m to a secant through x: every degree is m+1.
+    if not ((counts <= 1) | (counts == m + 1)).all():
         return None
-    deg = {p: 0 for p in pts}
-    for l in secants:
-        for p in plane.line_sets[l] & pts:
-            deg[p] += 1
-    if any(d != m + 1 for d in deg.values()):
+    secants = np.flatnonzero(counts == m + 1)
+    if secants.size != N:
         return None
-    return SubplaneResult(tuple(sorted(pts)), tuple(secants), m)
+    return SubplaneResult(tuple(sorted(pts)), tuple(secants.tolist()), m)
+
+
+def _restricted_lines(plane: Plane, points, k: int) -> list[tuple[int, ...]]:
+    """The lines meeting the distinct points in exactly k of them, in line
+    order, each as the sorted positions of those points in the sequence."""
+    counts = plane.line_counts(points)  # raises on an index out of range
+    pos = np.full(plane.npoints, -1, dtype=np.int64)
+    pos[np.asarray(points)] = np.arange(len(points))
+    hits = pos[plane.lines_arr[counts == k]]
+    return [tuple(r) for r in np.sort(hits[hits >= 0].reshape(-1, k), axis=1).tolist()]
 
 
 def _quadrangle_closures(plane: Plane, pool, cap: int):

@@ -216,3 +216,31 @@ def test_canonicalization_prefers_min_x_in_top_colour(pg9):
         a = analyze(w.scale(lam), pg9)
         assert a.colours == {1: 6, 2: 9}
         assert np.array_equal(a.canonical.values, analyze(w, pg9).canonical.values)
+
+
+def test_extract_antipodal_class_scan_matches_reference(pg9, monkeypatch):
+    # No dual antipodal word is known here, so force the classification of
+    # two disjoint Mobius-Kantor configurations to run the class scans.
+    import planecode.analyze as analyzer
+    from planecode.antipodal import PartialLinearSpace, cyclic_antipodal
+    from planecode.construct import antipodal_diff
+    from planecode.search import embed_search
+
+    monkeypatch.setattr(analyzer, "_classify", lambda a: "antipodal")
+    mk = cyclic_antipodal(2)
+    for e1 in embed_search(mk, pg9, cap=2).embeddings:
+        e2 = embed_search(mk, pg9, exclude=frozenset(e1.point_map)).embeddings[0]
+        w, _ = antipodal_diff(pg9, (mk, e1), (mk, e2))
+        got = extract_antipodal(w, pg9, override_non_dual=True)
+        c = analyze(w, pg9, override_non_dual=True).canonical
+        for (pts, ap), lam in zip(got, (1, 2)):
+            want = np.flatnonzero(c.values == lam).tolist()
+            local = {x: i for i, x in enumerate(want)}
+            lines = [
+                tuple(sorted(local[x] for x in ls & set(want)))
+                for ls in pg9.line_sets
+                if len(ls & set(want)) == 3
+            ]
+            assert pts == tuple(want)
+            assert ap.pls.lines == PartialLinearSpace(8, lines).lines
+            assert ap.order == 2

@@ -226,3 +226,34 @@ def test_is_good_triangle_rejects_invalid():
     ap = validate_antipodal(cyclic_antipodal(3))
     line = ap.pls.lines[0]
     assert not is_good_triangle(ap, line[0], line[1], line[2])
+
+
+def reference_mobius_kantor_pls(plane, omega=None):
+    """The coordinate dict and the frozenset scan over all lines."""
+    f = plane.field
+    index = {c: i for i, c in enumerate(plane.coords)}
+
+    def normalize(v):
+        s = f.inv(next(x for x in v if x))
+        return tuple(f.mul(s, x) for x in v)
+
+    pts = [index[normalize(c)] for c in mobius_kantor_points(f, omega)]
+    local = {p: i for i, p in enumerate(pts)}
+    lines = []
+    for ls in plane.line_sets:
+        hit = ls & set(pts)
+        if len(hit) >= 3:
+            assert len(hit) == 3
+            lines.append(tuple(sorted(local[p] for p in hit)))
+    return PartialLinearSpace(8, lines), tuple(pts)
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (7, 1), (3, 2), (13, 1)])
+def test_mobius_kantor_matches_reference(p, h):
+    plane = pg2(field_new(p, h))
+    f = plane.field
+    for omega in (None, *f.solve_monic_quadratic(f.neg(1), 1)):
+        pls, pts = mobius_kantor_pls(plane, omega)
+        want_pls, want_pts = reference_mobius_kantor_pls(plane, omega)
+        assert pts == want_pts
+        assert pls.lines == want_pls.lines  # the same lines in the same order

@@ -6,6 +6,7 @@ from planecode.antipodal import cyclic_antipodal
 from planecode.codes import is_dual_word
 from planecode.construct import (
     ConstructError,
+    LineIndexError,
     NotDisjointError,
     NotSecantError,
     NotVerifiedEmbeddingError,
@@ -44,6 +45,17 @@ def test_line_diff_weights(pg9, pg25):
 def test_line_diff_same_line(pg9):
     with pytest.raises(SameLineError):
         line_diff(pg9, 4, 4)
+
+
+def test_line_indices_outside_the_plane_are_refused(pg9):
+    sub = baer_subfield_subplane(pg9)
+    for l1, l2 in ((-1, 0), (0, 91), (91, 91), (-91, 5)):
+        with pytest.raises(LineIndexError, match=r"outside 0\.\.90"):
+            line_diff(pg9, l1, l2)
+    for secant in (-1, 91, 999):
+        with pytest.raises(LineIndexError):
+            baer_diff(pg9, sub, secant=secant)
+    assert issubclass(LineIndexError, ConstructError)
 
 
 def test_recipe_guards_raise_without_asserts(pg9, monkeypatch):

@@ -7,8 +7,10 @@ from planecode.field import (
     Field,
     NotPrimeError,
     ReducibleModulusError,
+    FieldError,
     field_new,
     parse_field,
+    prime_of_power,
 )
 
 
@@ -150,3 +152,12 @@ def test_large_untabled_field_arithmetic():
     assert f.mul(a, f.inv(a)) == 1
     assert f.mul(a, b) == f.mul(b, a)
     assert f.sub(f.add(a, b), b) == a
+
+
+def test_prime_of_power():
+    for p in (2, 3, 5, 7, 251):
+        for h in (1, 2, 3):
+            assert prime_of_power(p**h) == p
+    for n in (-4, 0, 1, 6, 12, 18, 100, 2 * 49):
+        with pytest.raises(FieldError, match="not a prime power"):
+            prime_of_power(n)

@@ -15,6 +15,11 @@ def pg9():
     return pg2(field_new(3, 2))
 
 
+@pytest.fixture(scope="module")
+def pg4():
+    return pg2(field_new(2, 2))
+
+
 def test_plane_roundtrip(tmp_path, pg9):
     path = tmp_path / "pg9.plane"
     formats.write_plane(pg9, path)
@@ -222,6 +227,32 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
     code, record = run_cli(capsys, "plane", "validate", "--file", str(bad))
     assert code == 1
     assert record["outcome"]["error"] == "AxiomViolationError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["line-diff", "--field", "3", "--lines=-1,0"],
+        ["line-diff", "--field", "3", "--lines=0,99"],
+        ["baer-diff", "--field", "3^2", "--secant", "999"],
+        ["baer-diff", "--field", "3^2", "--secant=-1"],
+    ],
+)
+def test_cli_line_index_out_of_range(capsys, args):
+    code, record = run_cli(capsys, "construct", *args)
+    assert code == 1
+    assert record["outcome"]["error"] == "LineIndexError"
+
+
+def test_cli_subplane_with_a_negative_index_alias(capsys, pg4):
+    pts = list(baer_subfield_subplane(pg4).points)
+    alias = pts[:3] + [pts[3] - pg4.npoints] + pts[4:]  # numpy would read it as pts[3]
+    code, record = run_cli(
+        capsys, "construct", "subplane-diff", "--field", "2^2",
+        "--points1=" + ",".join(map(str, alias)), "--points2=" + ",".join(map(str, pts)),
+    )
+    assert code == 1
+    assert record["outcome"]["error"] == "CliError"
 
 
 def test_cli_usage_error_exit_2():

@@ -8,11 +8,15 @@ from planecode.geometry import (
     AxiomViolationError,
     BadShapeError,
     GeometryError,
+    NotGeneratedError,
     NotSquareOrderError,
     NotThroughVertexError,
     SameLineError,
     SamePointError,
+    SubplaneResult,
     TriangleSideError,
+    _quadrangle_closures,
+    _restricted_lines,
     baer_subfield_subplane,
     ceva_product,
     check_subplane,
@@ -21,6 +25,7 @@ from planecode.geometry import (
     pg2,
     plane_from_incidence,
     slope,
+    subplane_result_from_points,
     subplane_search,
 )
 
@@ -457,3 +462,204 @@ def test_validate_matches_reference_on_corruptions(p, h, corrupt):
         want = _outcome(lambda: reference_validate(rows, plane.order))
         assert got is not None
         assert got == want
+
+
+# -- point sets: line counts, the subplane validator, the coordinate index ------
+
+
+def reference_check_subplane(plane, sub):
+    """The line-by-line subplane check."""
+    m = sub.order
+    pts = set(sub.points)
+    if len(pts) != m * m + m + 1 or len(sub.lines) != m * m + m + 1:
+        raise GeometryError(f"not a subplane of order {m}: wrong sizes")
+    for l in sub.lines:
+        if len(plane.line_sets[l].intersection(pts)) != m + 1:
+            raise GeometryError(f"line {l} does not meet the subplane in {m + 1} points")
+    for l in range(plane.npoints):
+        k = len(plane.line_sets[l].intersection(pts))
+        if k > 1 and l not in sub.lines:
+            raise GeometryError(f"line {l} meets the subplane in {k} points but is not listed")
+
+
+def reference_subplane_result_from_points(plane, pts, m):
+    """The frozenset scan over all lines, with the point-degree loop."""
+    if len(pts) != m * m + m + 1:
+        return None
+    secants = []
+    for l, ls in enumerate(plane.line_sets):
+        k = len(ls & pts)
+        if k > 1:
+            if k != m + 1:
+                return None
+            secants.append(l)
+    if len(secants) != m * m + m + 1:
+        return None
+    deg = {p: 0 for p in pts}
+    for l in secants:
+        for p in plane.line_sets[l] & pts:
+            deg[p] += 1
+    if any(d != m + 1 for d in deg.values()):
+        return None
+    return SubplaneResult(tuple(sorted(pts)), tuple(secants), m)
+
+
+def reference_restricted_lines(plane, points, k):
+    """The scan of extract_antipodal and mobius_kantor_pls: lines holding k
+    of the points, as the sorted positions of those points."""
+    local = {x: i for i, x in enumerate(points)}
+    pset = set(points)
+    lines = []
+    for ls in plane.line_sets:
+        hit = ls & pset
+        if len(hit) == k:
+            lines.append(tuple(sorted(local[x] for x in hit)))
+    return lines
+
+
+def reference_normalize(f, v):
+    """Scale a nonzero triple so its first nonzero coordinate is 1."""
+    s = f.inv(next(c for c in v if c))
+    return tuple(f.mul(s, c) for c in v)
+
+
+def _check_outcome(plane, sub, check):
+    try:
+        check(plane, sub)
+    except GeometryError:
+        return False
+    return True
+
+
+def _candidate_sets(plane, m, found, rng):
+    """The found subplanes, 5 one-point perturbations of each, the closures
+    within the cap among the first 2000 quadrangles (at most 50) and 200
+    random sets of m^2+m+1 points."""
+    N, size = plane.npoints, m * m + m + 1
+    sets = [frozenset(s.points) for s in found]
+    for pts in list(sets):
+        for _ in range(5):
+            out = rng.choice(sorted(pts))
+            new = rng.choice([x for x in range(N) if x not in pts])
+            sets.append(pts - {out} | {new})
+    closures = _quadrangle_closures(plane, range(N), size)
+    sets += [cl for _, cl in zip(range(2000), closures) if cl is not None][:50]
+    sets += [frozenset(rng.sample(range(N), size)) for _ in range(200)]
+    return sets
+
+
+@pytest.mark.parametrize(
+    "q,m,limit,budget",
+    [(4, 2, 1000, 10**6), (9, 2, 10, 3000), (9, 3, 60, 10**6), (16, 2, 30, 10**6), (25, 2, 10, 3000)],
+)
+def test_subplane_validator_matches_reference(q, m, limit, budget):
+    p, h = ORACLE_FIELDS[q]
+    plane = pg2(field_new(p, h))
+    found = subplane_search(plane, m, limit=limit, budget=budget).subplanes
+    assert len(found) == {4: 360, 9: 60 if m == 3 else 0, 16: 30, 25: 0}[q]
+    if h == 2 and p == m:
+        found.append(baer_subfield_subplane(plane))
+    rng = random.Random(q * 10 + m)
+    accepted = 0
+    for pts in _candidate_sets(plane, m, found, rng):
+        got = subplane_result_from_points(plane, pts, m)
+        assert got == reference_subplane_result_from_points(plane, pts, m)
+        accepted += got is not None
+        sub = got or SubplaneResult(tuple(sorted(pts)), tuple(range(len(pts))), m)
+        want = _check_outcome(plane, sub, reference_check_subplane)
+        assert _check_outcome(plane, sub, check_subplane) == want == (got is not None)
+    assert accepted >= len(found)
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 25])
+def test_baer_subplanes_match_reference(q):
+    plane = pg2(field_new(*ORACLE_FIELDS[q]))
+    sub = baer_subfield_subplane(plane)
+    assert sub == reference_subplane_result_from_points(plane, frozenset(sub.points), sub.order)
+    reference_check_subplane(plane, sub)
+
+
+def test_check_subplane_refuses_wrong_points_or_lines(pg9):
+    sub = baer_subfield_subplane(pg9)
+    outside = next(x for x in range(pg9.npoints) if x not in sub.points)
+    tangent = next(l for l in range(pg9.npoints) if l not in sub.lines)
+    cases = {
+        "swapped point": (sub.points[:-1] + (outside,), sub.lines),
+        "missing secant": (sub.points, sub.lines[1:]),
+        "extra listed line": (sub.points, sub.lines + (tangent,)),
+        "tangent for a secant": (sub.points, sub.lines[1:] + (tangent,)),
+        "repeated secant": (sub.points, sub.lines + sub.lines[:1]),
+    }
+    for name, (points, lines) in cases.items():
+        bad = SubplaneResult(points, lines, sub.order)
+        with pytest.raises(GeometryError):
+            reference_check_subplane(pg9, bad)
+        with pytest.raises(GeometryError):
+            check_subplane(pg9, bad)
+    check_subplane(pg9, SubplaneResult(sub.points[::-1], sub.lines[::-1], sub.order))
+
+
+def test_validator_refuses_a_negative_index_alias(pg4):
+    pts = list(baer_subfield_subplane(pg4).points)
+    pts[3] -= pg4.npoints  # the same point for numpy, not for the plane
+    assert subplane_result_from_points(pg4, frozenset(pts), 2) is None
+    assert reference_subplane_result_from_points(pg4, frozenset(pts), 2) is None
+    pts[3] += 2 * pg4.npoints
+    assert subplane_result_from_points(pg4, frozenset(pts), 2) is None
+
+
+def test_line_counts(pg9):
+    rng = random.Random(5)
+    for size in (0, 1, 2, 13, 40, 91):
+        pts = rng.sample(range(pg9.npoints), size)
+        want = [len(ls & set(pts)) for ls in pg9.line_sets]
+        for form in (pts, set(pts), frozenset(pts), tuple(pts), np.array(pts, dtype=np.int32)):
+            got = pg9.line_counts(form)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+    assert pg9.line_counts([5, 5, 7]).tolist() == pg9.line_counts([5, 7]).tolist()
+    for bad in (-1, pg9.npoints, 10**30):
+        with pytest.raises(GeometryError):
+            pg9.line_counts([0, bad])
+
+
+@pytest.mark.parametrize("q,k", [(4, 2), (9, 3), (9, 4), (25, 5)])
+def test_restricted_lines_match_reference(q, k):
+    plane = pg2(field_new(*ORACLE_FIELDS[q]))
+    rng = random.Random(q + k)
+    for size in (k, 2 * k, 5 * k, plane.npoints // 2):
+        pts = rng.sample(range(plane.npoints), size)  # an unsorted sequence
+        assert _restricted_lines(plane, pts, k) == reference_restricted_lines(plane, pts, k)
+        pts.sort()
+        assert _restricted_lines(plane, pts, k) == reference_restricted_lines(plane, pts, k)
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_FIELDS))
+def test_point_index_matches_the_coordinate_dict(q):
+    field = field_new(*ORACLE_FIELDS[q])
+    plane = pg2(field)
+    index = {c: i for i, c in enumerate(plane.coords)}  # the dict point_index used
+    for c in plane.coords:
+        for s in range(1, q):
+            v = tuple(field.mul(s, x) for x in c)
+            assert plane.point_index(v) == index[reference_normalize(field, v)] == index[c]
+    for bad in ((0, 0, 0), (q, 0, 0), (0, 1, q), (-1, 1, 1), (1, 1), (1, 0, 0, 0)):
+        with pytest.raises(GeometryError):
+            plane.point_index(bad)
+
+
+def test_point_index_needs_a_generated_plane():
+    plane = plane_from_incidence(FANO_LINES, 2)
+    with pytest.raises(NotGeneratedError):
+        plane.point_index((1, 0, 0))
+
+
+def test_pair_rows_share_int_objects(pg9):
+    for rows, table in ((pg9.pair_line_rows(), pg9.pair_line), (pg9.pair_point_rows(), pg9._pair_point)):
+        assert rows == tuple(tuple(r) for r in table.tolist())
+        assert all(rows[i][i] == -1 for i in range(pg9.npoints))
+        seen = {}
+        for row in rows:
+            for x in row:
+                assert seen.setdefault(x, x) is x
+        assert len(seen) == pg9.npoints + 1

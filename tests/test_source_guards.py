@@ -6,14 +6,38 @@ from pathlib import Path
 import planecode
 
 
-def test_no_assert_statements_in_package():
-    # python -O strips assert statements, so a correctness guard must raise
+def _package_nodes():
     modules = sorted(Path(planecode.__file__).parent.glob("*.py"))
     assert len(modules) >= 10
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements, so a correctness guard must raise
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _is_plane_line_sets(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "line_sets"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "plane"
+    )
+
+
+def test_no_loop_over_the_line_sets_of_a_plane():
+    # a per-line scan of a point set goes through Plane.line_counts;
+    # loops over a partial linear space's line_sets (pls) stay allowed
+    found = []
+    for name, node in _package_nodes():
+        if isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter
+            if isinstance(it, ast.Call) and isinstance(it.func, ast.Name) and it.func.id == "enumerate":
+                it = it.args[0] if it.args else it
+            if _is_plane_line_sets(it):
+                found.append(f"{name}:{it.lineno}")
     assert found == []
