@@ -27,6 +27,7 @@ from .codes import (
     enumerate_min_weight,
     indicator,
     is_dual_word,
+    matmul_mod_p,
 )
 from .construct import antipodal_diff, baer_diff, disjoint_baer_pair, line_diff, subplane_diff
 from .field import field_new
@@ -60,6 +61,7 @@ class AcceptanceContext:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._planes: dict[tuple[int, int], object] = {}
+        self._codes: dict[tuple[int, int], object] = {}
         self._dual_codes: dict[tuple[int, int], object] = {}
         self.checked_words: list[tuple[int, int, int]] = []  # (q, p, weight)
 
@@ -69,10 +71,16 @@ class AcceptanceContext:
             self._planes[key] = pg2(field_new(p, h))
         return self._planes[key]
 
+    def code(self, p: int, h: int):
+        key = (p, h)
+        if key not in self._codes:
+            self._codes[key] = code_of_plane(self.plane(p, h), p)
+        return self._codes[key]
+
     def dual_code(self, p: int, h: int):
         key = (p, h)
         if key not in self._dual_codes:
-            self._dual_codes[key] = dual_basis(code_of_plane(self.plane(p, h), p))
+            self._dual_codes[key] = dual_basis(self.code(p, h))
         return self._dual_codes[key]
 
 
@@ -89,7 +97,7 @@ def criterion_1_dimension_formula(ctx: AcceptanceContext) -> CriterionResult:
     got = []
     ok = True
     for p, h, want in cases:
-        dim = code_of_plane(ctx.plane(p, h), p).dimension
+        dim = ctx.code(p, h).dimension
         got.append(dim)
         ok &= dim == want
     seconds = time.perf_counter() - t0
@@ -104,7 +112,7 @@ def criterion_2_primal_minimum(ctx: AcceptanceContext) -> CriterionResult:
     for p, h in ((2, 1), (3, 1), (2, 2)):
         plane = ctx.plane(p, h)
         n = plane.order
-        res = enumerate_min_weight(code_of_plane(plane, p))
+        res = enumerate_min_weight(ctx.code(p, h))
         expected = set()
         for l in plane.lines:
             base = indicator(l, plane.npoints, p)
@@ -260,6 +268,19 @@ def criterion_9_antipodal_models(ctx: AcceptanceContext) -> CriterionResult:
     return _result(9, "antipodal models", t0, ok, "; ".join(notes))
 
 
+def random_dual_words(dual_code, rng, count: int) -> list[CodeWord]:
+    """`count` words from uniform message draws, one rng.integers call per
+    word, so a seed gives the same words however they are multiplied out.
+    One product per 100 words keeps the temporaries small."""
+    p, gen = dual_code.p, dual_code.generator
+    words: list[CodeWord] = []
+    for start in range(0, count, 100):
+        draws = range(min(100, count - start))
+        coeffs = np.array([rng.integers(0, p, size=gen.shape[0]) for _ in draws])
+        words.extend(CodeWord(p, v) for v in matmul_mod_p(coeffs, gen, p))
+    return words
+
+
 def criterion_10_analyzer_suite(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(ctx.seed)
@@ -282,13 +303,7 @@ def criterion_10_analyzer_suite(ctx: AcceptanceContext) -> CriterionResult:
             w, dual = antipodal_diff(plane, (mk, e1), (mk, e2))
             if dual:
                 words.append(w)
-        dual_code = ctx.dual_code(p, h)
-        gen = dual_code.generator
-        for _ in range(500):
-            coeffs = rng.integers(0, p, size=dual_code.dimension)
-            w = CodeWord(p, (coeffs @ gen) % p)
-            if w.weight:
-                words.append(w)
+        words.extend(w for w in random_dual_words(ctx.dual_code(p, h), rng, 500) if w.weight)
         failures = 0
         for w in words:
             a = analyze(w, plane)

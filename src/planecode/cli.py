@@ -122,7 +122,10 @@ def cmd_code(args) -> dict:
 def cmd_construct(args) -> dict:
     plane = _load_plane(args)
     if args.recipe == "line-diff":
-        l1, l2 = _int_list(args.lines) if args.lines else (0, 1)
+        lines = _int_list(args.lines) if args.lines else [0, 1]
+        if len(lines) != 2:
+            raise CliError(f"--lines needs two line indices, got {len(lines)}")
+        l1, l2 = lines
         w = line_diff(plane, l1, l2, raw=args.raw)
         return _word_record(args, w, {"recipe": "line-diff", "lines": [l1, l2], "dual": True})
     if args.recipe == "baer-diff":

@@ -40,26 +40,67 @@ class BudgetExceededError(CodesError):
         )
 
 
-# Column-panel width of the elimination kernel.  A panel update sums up to
-# this many products of residues before it reduces, which bounds the
-# largest p the int64 kernel accepts (about 2^28).
+# Column-panel width of the elimination kernel.  The steps inside a panel,
+# and its one update of the trailing columns, each add at most this many
+# products of residues to an entry.
 _PANEL = 32
+# Integers below 2^53 are exact in IEEE double precision, so a floating-point
+# sum of nonnegative integer terms that stays below it is exact in any order
+# of summation (BLAS blocking, FMA): it is the integer itself, on every run.
+_FLOAT_LIMIT = 1 << 53
 _INT64_LIMIT = 1 << 62
+
+
+def _fits(terms: int, p: int, limit: int) -> bool:
+    """True iff a residue plus `terms` products of residues mod p stays below limit."""
+    return terms * (p - 1) ** 2 + p < limit
+
+
+def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p exactly, as int64, for 2-D residue matrices a and b.
+
+    One float64 BLAS product when its sums stay below 2^53; otherwise int64
+    products over slices of the inner dimension, each below 2^62.
+    """
+    inner = a.shape[1]
+    if _fits(inner, p, _FLOAT_LIMIT):
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return np.fmod(prod, p, out=prod).astype(np.int64)
+    step = (_INT64_LIMIT - p) // (p - 1) ** 2
+    if step < 1:
+        raise CodesError(f"p = {p} is too large for an exact int64 product")
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(0, inner, step):
+        out += a[:, k : k + step] @ b[k : k + step]
+        out %= p
+    return out
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p); returns (rref, pivot columns).
 
     Blocked, with delayed reduction as in FFLAS-FFPACK.  Inside each panel of
-    _PANEL columns, row operations act on the panel and on multipliers Z over
-    the panel's pivot rows as the panel found them (V).  The trailing columns
-    are then updated once: T <- (keep*T + Z@V) mod p, keep being 0 on the
-    pivot rows.  All arithmetic is exact int64.
+    _PANEL columns, int64 row operations act on the panel and on multipliers
+    Z over the panel's pivot rows as the panel found them (V); only the pivot
+    column and row are reduced per step, the panel once at its end (each step
+    grows |entries| by at most (p-1)^2).  The trailing columns T are then
+    updated once: T <- keep*T + Z@V, keep being 0 on the pivot rows.  T is
+    reduced lazily: a panel's columns when the panel starts, V before each
+    update, and all of T only when a running bound on its (nonnegative)
+    entries would reach the working limit.  When _PANEL*(p-1)^2 + p < 2^53,
+    T is float64 and Z@V one BLAS product, exact below that limit; for larger
+    p, T is int64 with limit 2^62.
     """
-    if _PANEL * (p - 1) ** 2 + p >= _INT64_LIMIT:
+    if _fits(_PANEL, p, _FLOAT_LIMIT):
+        dtype, limit = np.float64, _FLOAT_LIMIT
+    elif _fits(_PANEL, p, _INT64_LIMIT):
+        dtype, limit = np.int64, _INT64_LIMIT
+    else:
         raise CodesError(f"p = {p} is too large for the int64 elimination kernel")
-    m = np.array(mat, dtype=np.int64) % p
+    mat = np.asarray(mat)
+    m = np.remainder(mat, p, out=np.empty(mat.shape, dtype=dtype))
     rows, cols = m.shape
+    bound = p - 1  # on the entries of the columns not yet eliminated
     pivots: list[int] = []
     r = 0
     for c0 in range(0, cols, _PANEL):
@@ -68,35 +109,40 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         c1 = min(c0 + _PANEL, cols)
         w = c1 - c0
         a = np.zeros((rows, 2 * w), dtype=np.int64)  # [panel | Z]
-        a[:, :w] = m[:, c0:c1]
+        a[:, :w] = m[:, c0:c1] % p
         src: list[int] = []  # rows holding this panel's pivots
         for c in range(w):
             if r >= rows:
                 break
-            nz = np.flatnonzero(a[r:, c])
+            col = a[:, c] % p
+            nz = np.flatnonzero(col[r:])
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
             if i != r:
                 a[[r, i]] = a[[i, r]]
                 m[[r, i]] = m[[i, r]]
+                col[[r, i]] = col[[i, r]]
             a[r, w + len(src)] = 1
             src.append(r)
-            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-            col = a[:, c].copy()
+            a[r] = (a[r] % p * pow(int(col[r]), p - 2, p)) % p
             col[r] = 0
-            a -= np.outer(col, a[r])
-            a %= p
+            a -= np.outer(col, a[r])  # grows |a| by at most (p-1)^2
             pivots.append(c0 + c)
             r += 1
+        a %= p
         m[:, c0:c1] = a[:, :w]
         if src and c1 < cols:
             t = m[:, c1:]
-            v = t[src]  # a copy: the pivot rows as the panel found them
+            grow = len(src) * (p - 1) ** 2
+            if bound + grow >= limit:
+                t %= p
+                bound = p - 1
+            v = t[src] % p  # the pivot rows as the panel found them
             t[src] = 0
-            t += a[:, w : w + len(src)] @ v
-            t %= p
-    return m[:r], pivots
+            t += a[:, w : w + len(src)].astype(dtype) @ v
+            bound += grow
+    return (m[:r] % p).astype(np.int64, copy=False), pivots
 
 
 def _kernel_rows(rref: np.ndarray, pivots: list[int], cols: int, p: int) -> np.ndarray:
@@ -235,8 +281,8 @@ def dual_basis(code: LinearCode) -> LinearCode:
     dual = np.ascontiguousarray(_kernel_rows(rref, pivots, n, p)[::-1, ::-1])
     if dual.shape[0] != n - code.dimension:
         raise CodesError("dual basis has wrong dimension")  # pragma: no cover
-    if ((code.generator @ dual.T) % p).any():
-        raise CodesError("dual basis is not orthogonal to the code")  # pragma: no cover
+    if matmul_mod_p(code.generator, dual.T, p).any():
+        raise CodesError("dual basis is not orthogonal to the code")
     return LinearCode(p, n, dual)
 
 
@@ -287,7 +333,7 @@ def enumerate_min_weight(
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         msgs = (np.arange(start, stop, dtype=np.int64)[:, None] // powers[None, :]) % p
-        words = (msgs @ gen) % p
+        words = matmul_mod_p(msgs, gen, p)
         weights = np.count_nonzero(words, axis=1)
         if start == 0:
             weights[0] = n + 1  # skip the zero word

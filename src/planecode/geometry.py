@@ -470,39 +470,41 @@ def slope_from_coords(f: Field, vertex: int, pt: tuple[int, int, int]) -> int:
 
 def slope(plane: Plane, vertex: int, line: int) -> int:
     """Slope of a line of a generated plane through A1, A2 or A3."""
-    f = plane.field
-    if f is None:
+    if plane.field is None:
         raise NotGeneratedError("slopes need a generated plane")
     if vertex not in (1, 2, 3):
         raise GeometryError(f"vertex must be 1, 2 or 3, got {vertex}")
-    a1, a2, a3 = fundamental_triangle(plane)
-    v = (a1, a2, a3)[vertex - 1]
+    return _slope(plane, fundamental_triangle(plane), vertex, line)
+
+
+def _slope(plane: Plane, triangle: tuple[int, int, int], vertex: int, line: int) -> int:
+    v = triangle[vertex - 1]
     if v not in plane.line_sets[line]:
         raise NotThroughVertexError(f"line {line} does not pass through A{vertex}")
     other = next(p for p in plane.lines[line] if p != v)
-    return slope_from_coords(f, vertex, plane.coords[other])
+    return slope_from_coords(plane.field, vertex, plane.coords[other])
 
 
 def menelaos_product(plane: Plane, line: int) -> int:
     """Product of the three slopes cut by a line avoiding the triangle; equals -1."""
     f = plane.field
-    a1, a2, a3 = fundamental_triangle(plane)
+    tri = a1, a2, a3 = fundamental_triangle(plane)
     ls = plane.line_sets[line]
     if a1 in ls or a2 in ls or a3 in ls:
         raise NotThroughVertexError("transversal line must avoid A1, A2, A3")
     b1 = plane.meet(line, plane.line_through(a2, a3))
     b2 = plane.meet(line, plane.line_through(a1, a3))
     b3 = plane.meet(line, plane.line_through(a1, a2))
-    t1 = slope(plane, 1, plane.line_through(a1, b1))
-    t2 = slope(plane, 2, plane.line_through(a2, b2))
-    t3 = slope(plane, 3, plane.line_through(a3, b3))
+    t1 = _slope(plane, tri, 1, plane.line_through(a1, b1))
+    t2 = _slope(plane, tri, 2, plane.line_through(a2, b2))
+    t3 = _slope(plane, tri, 3, plane.line_through(a3, b3))
     return f.mul(f.mul(t1, t2), t3)
 
 
 def ceva_product(plane: Plane, point: int) -> int:
     """Product of the three cevian slopes through a point off the sides; equals 1."""
     f = plane.field
-    a1, a2, a3 = fundamental_triangle(plane)
+    tri = a1, a2, a3 = fundamental_triangle(plane)
     sides = (
         plane.line_through(a2, a3),
         plane.line_through(a1, a3),
@@ -510,7 +512,7 @@ def ceva_product(plane: Plane, point: int) -> int:
     )
     if any(point in plane.line_sets[s] for s in sides):
         raise TriangleSideError("point lies on a side of the fundamental triangle")
-    t1 = slope(plane, 1, plane.line_through(a1, point))
-    t2 = slope(plane, 2, plane.line_through(a2, point))
-    t3 = slope(plane, 3, plane.line_through(a3, point))
+    t1 = _slope(plane, tri, 1, plane.line_through(a1, point))
+    t2 = _slope(plane, tri, 2, plane.line_through(a2, point))
+    t3 = _slope(plane, tri, 3, plane.line_through(a3, point))
     return f.mul(f.mul(t1, t2), t3)

@@ -67,3 +67,21 @@ def test_criterion_11_bagchi_bound(ctx):
         acc.criterion_5_baer_witnesses(ctx)
         acc.criterion_10_analyzer_suite(ctx)
     _run(acc.criterion_11_bagchi_bound, ctx)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_dual_words_match_the_per_word_products(ctx, seed):
+    """Criterion 10's batched words equal one vector-matrix product per draw."""
+    import numpy as np
+
+    for p, h in ((2, 2), (3, 2), (5, 2)):
+        dual = ctx.dual_code(p, h)
+        for count in (500, 250):
+            rng = np.random.default_rng(seed)
+            want = [
+                (rng.integers(0, p, size=dual.dimension) @ dual.generator) % p
+                for _ in range(count)
+            ]
+            got = acc.random_dual_words(dual, np.random.default_rng(seed), count)
+            assert len(got) == count
+            assert all(np.array_equal(w.values, v) for w, v in zip(got, want))

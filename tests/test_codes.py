@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from planecode import codes
 from planecode.codes import (
     BudgetExceededError,
     CodesError,
@@ -17,6 +18,7 @@ from planecode.codes import (
     indicator,
     is_dual_word,
     line_restriction_mu,
+    matmul_mod_p,
     nullspace_mod_p,
     rref_mod_p,
     word_diff,
@@ -113,6 +115,68 @@ def test_rref_near_the_int64_bound():
     want, want_piv = reference_rref(m, p)
     got, got_piv = rref_mod_p(m, p)
     assert got_piv == want_piv and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,float_path", [(16777213, True), (16777259, False)])
+def test_rref_on_both_sides_of_the_float64_bound(p, float_path):
+    # the largest prime below 2^24 and the next prime above it
+    assert codes._fits(codes._PANEL, p, codes._FLOAT_LIMIT) == float_path
+    # seven full panels: on the float64 path the trailing block is reduced
+    # before nearly every update, and unreduced it would pass 2^53
+    rng = np.random.default_rng(p)
+    m = rng.integers(0, p, size=(200, 260))
+    m[:, 40] = (m[:, 0] + 3 * m[:, 35]) % p  # a non-pivot column in the second panel
+    want, want_piv = reference_rref(m, p)
+    got, got_piv = rref_mod_p(m, p)
+    assert got_piv == want_piv and np.array_equal(got, want)
+
+
+def test_rref_reduces_the_trailing_block_mid_elimination():
+    p = 4194301  # the largest prime below 2^22
+    # float64 path; 17 panels of 32 pivots each push the trailing block's
+    # bound past 2^53, so it is reduced at least once before the end (random
+    # entries stay well below 2^53; the 16777213 case above would catch a
+    # missing reduction)
+    assert codes._fits(codes._PANEL, p, codes._FLOAT_LIMIT)
+    assert (p - 1) + 17 * codes._PANEL * (p - 1) ** 2 >= codes._FLOAT_LIMIT
+    rng = np.random.default_rng(22)
+    m = rng.integers(0, p, size=(576, 608))
+    want, want_piv = reference_rref(m, p)
+    got, got_piv = rref_mod_p(m, p)
+    assert len(got_piv) == 576
+    assert got_piv == want_piv and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [2, 7, 65521, 268435399, 2**31 - 1])
+@pytest.mark.parametrize("inner", [0, 1, 33, 300])
+def test_matmul_mod_p_matches_python_integers(p, inner):
+    rng = np.random.default_rng(inner)
+    a = rng.integers(0, p, size=(7, inner))
+    b = rng.integers(0, p, size=(inner, 5))
+    a[0] = p - 1
+    b[:, 0] = p - 1
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = matmul_mod_p(a, b, p)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+def test_matmul_mod_p_refuses_p_beyond_the_int64_bound():
+    p = 2147483659  # (p-1)^2 > 2^62: not even one product fits
+    with pytest.raises(CodesError, match="too large"):
+        matmul_mod_p(np.ones((2, 3), dtype=np.int64), np.ones((3, 2), dtype=np.int64), p)
+
+
+def test_dual_basis_refuses_a_basis_that_is_not_orthogonal(monkeypatch):
+    good = codes._kernel_rows
+
+    def corrupted(*args):
+        basis = good(*args)
+        basis[0, 0] = (basis[0, 0] + 1) % args[-1]
+        return basis
+
+    monkeypatch.setattr(codes, "_kernel_rows", corrupted)
+    with pytest.raises(CodesError, match="not orthogonal"):
+        dual_basis(code_of_plane(pg2(field_new(3, 1)), 3))
 
 
 def test_rref_refuses_p_beyond_the_int64_bound():

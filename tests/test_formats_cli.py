@@ -244,6 +244,14 @@ def test_cli_line_index_out_of_range(capsys, args):
     assert record["outcome"]["error"] == "LineIndexError"
 
 
+@pytest.mark.parametrize("lines", ["--lines=0", "--lines=0,1,2"])
+def test_cli_line_diff_needs_two_lines(capsys, lines):
+    code, record = run_cli(capsys, "construct", "line-diff", "--field", "3", lines)
+    assert code == 1
+    assert record["outcome"]["error"] == "CliError"
+    assert "--lines" in record["outcome"]["message"]
+
+
 def test_cli_subplane_with_a_negative_index_alias(capsys, pg4):
     pts = list(baer_subfield_subplane(pg4).points)
     alias = pts[:3] + [pts[3] - pg4.npoints] + pts[4:]  # numpy would read it as pts[3]

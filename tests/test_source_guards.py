@@ -41,3 +41,20 @@ def test_no_loop_over_the_line_sets_of_a_plane():
             if _is_plane_line_sets(it):
                 found.append(f"{name}:{it.lineno}")
     assert found == []
+
+
+def test_float64_only_in_the_bounded_gf_p_products():
+    # floating point is exact only under the bounds that these two functions check
+    codes_path = Path(planecode.__file__).parent / "codes.py"
+    allowed = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in ast.walk(ast.parse(codes_path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("matmul_mod_p", "rref_mod_p")
+    ]
+    assert len(allowed) == 2
+    found = []
+    for path in sorted(codes_path.parent.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if "float64" in line and not (path == codes_path and any(lineno in r for r in allowed)):
+                found.append(f"{path.name}:{lineno}")
+    assert found == []
