@@ -180,6 +180,8 @@ def criterion_6_isbaer_roundtrip(ctx: AcceptanceContext) -> CriterionResult:
         round_trip = got_sub.points == sub.points and got_secant == secant
         ok &= round_trip
         details.append(f"p={p}: {'ok' if round_trip else 'MISMATCH'}")
+    # criteria 5 and 6 are the only users of PG(2,49); free its N x N tables
+    ctx._planes.pop((7, 2), None)
     return _result(6, "Baer structure round-trip", t0, ok, "; ".join(details))
 
 
@@ -227,14 +229,10 @@ def criterion_8_menelaos_ceva(ctx: AcceptanceContext) -> CriterionResult:
     for q in (3, 4, 5, 7, 9):
         plane = ctx.plane(*FIELD_OF[q])
         a1, a2, a3 = fundamental_triangle(plane)
-        sides = (
-            plane.line_sets[plane.line_through(a2, a3)]
-            | plane.line_sets[plane.line_through(a1, a3)]
-            | plane.line_sets[plane.line_through(a1, a2)]
-        )
+        sides = [plane.line_through(a2, a3), plane.line_through(a1, a3), plane.line_through(a1, a2)]
         minus_one = plane.field.neg(1)
         lines = np.flatnonzero(plane.line_counts((a1, a2, a3)) == 0).tolist()
-        points = [x for x in range(plane.npoints) if x not in sides]
+        points = np.setdiff1d(np.arange(plane.npoints), plane.lines_arr[sides]).tolist()
         men = all(menelaos_product(plane, l) == minus_one for l in lines)
         cev = all(ceva_product(plane, x) == 1 for x in points)
         ok &= men and cev and len(lines) == (q - 1) ** 2 and len(points) == (q - 1) ** 2

@@ -437,7 +437,7 @@ def extract_baer(
     if full.size != 1:
         raise StructureMismatchError("no single line containing all of the small class")
     secant = int(full[0])
-    if plane.line_sets[secant] & set(k_big.tolist()):
+    if not set(plane.lines[secant]).isdisjoint(k_big.tolist()):
         raise StructureMismatchError("secant line meets the large class")
     aa = [pt for pt in plane.lines[secant] if pt not in small_set]
     if len(aa) != p + 1:

@@ -99,7 +99,7 @@ def baer_diff(
     if secant is None:
         secant = sub.lines[0]  # lexicographically first secant
     _check_line(plane, secant)
-    if len(plane.line_sets[secant] & set(sub.points)) != sub.order + 1:
+    if len(set(plane.lines[secant]).intersection(sub.points)) != sub.order + 1:
         raise NotSecantError(f"line {secant} is not a secant of the subplane")
     w = word_diff(
         indicator(sub.points, plane.npoints, p),

@@ -10,8 +10,8 @@ If no modulus is given, the default is the irreducible polynomial whose
 coefficient vector has the smallest code, so constructions are reproducible
 across runs and platforms.
 
-Fields up to 4096 elements get full lookup tables; larger fields (allowed
-up to 2**16 elements) fall back to per-operation polynomial arithmetic.
+Every field is held as full addition, negation, multiplication and inverse
+lookup tables, so the order is capped at 4096 elements.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _TABLE_LIMIT = 4096
-_ORDER_LIMIT = 1 << 16
 
 
 class FieldError(ValueError):
@@ -88,15 +87,6 @@ def _poly_mod(a: list[int], m: Sequence[int], p: int) -> list[int]:
     return a
 
 
-def _poly_mul_mod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, m, p)
-
-
 def _poly_divides(d: Sequence[int], f: Sequence[int], p: int) -> bool:
     """True if the monic polynomial d divides f over GF(p)."""
     r = [x % p for x in f]
@@ -161,8 +151,8 @@ class Field:
         if not isinstance(h, int) or h < 1:
             raise FieldError(f"h must be a positive integer, got {h!r}")
         q = p**h
-        if q > _ORDER_LIMIT:
-            raise FieldError(f"field order {q} exceeds supported limit 2^16")
+        if q > _TABLE_LIMIT:
+            raise FieldError(f"field order {q} exceeds the lookup-table limit {_TABLE_LIMIT}")
         if modulus is None:
             modulus = _default_modulus(p, h)
         else:
@@ -177,9 +167,7 @@ class Field:
         self.h = h
         self.q = q
         self.modulus = tuple(modulus)
-        self._mul_t = self._add_t = self._neg_t = self._inv_t = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     # -- construction helpers -------------------------------------------------
 
@@ -226,30 +214,21 @@ class Field:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return int(self._add_t[a, b])
-        return self.from_coeffs([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
+        return int(self._add_t[a, b])
 
     def neg(self, a: int) -> int:
-        if self._neg_t is not None:
-            return int(self._neg_t[a])
-        return self.from_coeffs([-x for x in self.coeffs(a)])
+        return int(self._neg_t[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return int(self._mul_t[a, b])
-        c = _poly_mul_mod(self.coeffs(a), self.coeffs(b), self.modulus, self.p)
-        return self.from_coeffs(c)
+        return int(self._mul_t[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZeroError("0 has no multiplicative inverse")
-        if self._inv_t is not None:
-            return int(self._inv_t[a])
-        return self.pow(a, self.q - 2)
+        return int(self._inv_t[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

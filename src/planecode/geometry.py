@@ -99,19 +99,16 @@ class Plane:
         self.line_coords = line_coords
         self.lines_arr, self.pair_line = _checked_lines(lines, order)
         self.lines = _int_rows(self.lines_arr, N)
-        self.line_sets = tuple(frozenset(l) for l in self.lines)
         # a stable sort of the incidences by point keeps each point's lines ascending
         by_point = np.argsort(self.lines_arr.ravel(), kind="stable").astype(np.int32)
         self.point_lines_arr = (by_point // np.int32(order + 1)).reshape(N, order + 1)
         self.point_lines = _int_rows(self.point_lines_arr, N)
         self._pair_point: np.ndarray | None = None
-        self._pair_line_rows_cache: tuple | None = None
-        self._pair_point_rows_cache: tuple | None = None
 
     # -- queries ----------------------------------------------------------------
 
     def is_incident(self, point: int, line: int) -> bool:
-        return point in self.line_sets[line]
+        return line in self.point_lines[point]
 
     def line_through(self, p: int, q: int) -> int:
         if p == q:
@@ -121,22 +118,13 @@ class Plane:
     def meet(self, l1: int, l2: int) -> int:
         if l1 == l2:
             raise SameLineError(f"meet needs two distinct lines, got {l1}")
+        return int(self.pair_point()[l1, l2])
+
+    def pair_point(self) -> np.ndarray:
+        """The meet table (N x N, -1 on the diagonal), built on first use."""
         if self._pair_point is None:
             self._pair_point = _pair_table(self.point_lines_arr, self.npoints)
-        return int(self._pair_point[l1, l2])
-
-    def pair_line_rows(self) -> tuple:
-        """pair_line as row tuples, for hot pure-Python loops."""
-        if self._pair_line_rows_cache is None:
-            self._pair_line_rows_cache = _int_rows(self.pair_line, self.npoints)
-        return self._pair_line_rows_cache
-
-    def pair_point_rows(self) -> tuple:
-        if self._pair_point is None:
-            self._pair_point = _pair_table(self.point_lines_arr, self.npoints)
-        if self._pair_point_rows_cache is None:
-            self._pair_point_rows_cache = _int_rows(self._pair_point, self.npoints)
-        return self._pair_point_rows_cache
+        return self._pair_point
 
     def point_index(self, coord: tuple[int, int, int]) -> int:
         """The index of the point with homogeneous coordinates coord, any
@@ -233,8 +221,6 @@ def _int_rows(arr: np.ndarray, N: int) -> tuple[tuple[int, ...], ...]:
 def pg2(field: Field) -> Plane:
     """The Desarguesian plane PG(2,q) with deterministic lexicographic indexing."""
     q = field.q
-    if field._mul_t is None:
-        raise GeometryError(f"pg2 needs field lookup tables, which GF({q}) is too large for")
     pts: list[tuple[int, int, int]] = [(0, 0, 1)]
     pts += [(0, 1, z) for z in range(q)]
     pts += [(1, y, z) for y in range(q) for z in range(q)]
@@ -391,8 +377,9 @@ def _quadrangle_closures(plane: Plane, pool, cap: int):
     cap or reaches a point below the quadrangle's first point (such a
     closure is reached from an earlier quadrangle).
     """
-    T = plane.pair_line_rows()
-    M = plane.pair_point_rows()
+    # row tuples for the pure-Python loops, alive only while this generator is
+    T = _int_rows(plane.pair_line, plane.npoints)
+    M = _int_rows(plane.pair_point(), plane.npoints)
     n = len(pool)
     for i in range(n):
         a = pool[i]
@@ -479,7 +466,7 @@ def slope(plane: Plane, vertex: int, line: int) -> int:
 
 def _slope(plane: Plane, triangle: tuple[int, int, int], vertex: int, line: int) -> int:
     v = triangle[vertex - 1]
-    if v not in plane.line_sets[line]:
+    if not plane.is_incident(v, line):
         raise NotThroughVertexError(f"line {line} does not pass through A{vertex}")
     other = next(p for p in plane.lines[line] if p != v)
     return slope_from_coords(plane.field, vertex, plane.coords[other])
@@ -489,8 +476,7 @@ def menelaos_product(plane: Plane, line: int) -> int:
     """Product of the three slopes cut by a line avoiding the triangle; equals -1."""
     f = plane.field
     tri = a1, a2, a3 = fundamental_triangle(plane)
-    ls = plane.line_sets[line]
-    if a1 in ls or a2 in ls or a3 in ls:
+    if any(plane.is_incident(a, line) for a in tri):
         raise NotThroughVertexError("transversal line must avoid A1, A2, A3")
     b1 = plane.meet(line, plane.line_through(a2, a3))
     b2 = plane.meet(line, plane.line_through(a1, a3))
@@ -510,7 +496,7 @@ def ceva_product(plane: Plane, point: int) -> int:
         plane.line_through(a1, a3),
         plane.line_through(a1, a2),
     )
-    if any(point in plane.line_sets[s] for s in sides):
+    if any(plane.is_incident(point, s) for s in sides):
         raise TriangleSideError("point lies on a side of the fundamental triangle")
     t1 = _slope(plane, tri, 1, plane.line_through(a1, point))
     t2 = _slope(plane, tri, 2, plane.line_through(a2, point))

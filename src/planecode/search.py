@@ -85,7 +85,7 @@ def verify_embedding(
         dup = next(v for v in lm if lm.count(v) > 1)
         return False, ("line-injectivity", dup)
     for li, l in enumerate(pls.lines):
-        img = plane.line_sets[lm[li]]
+        img = set(plane.lines[lm[li]])
         members = set(l)
         for p in range(pls.n_points):
             if p in members:
@@ -176,7 +176,7 @@ class _Searcher:
         pbit = 1 << p
         # against already-determined line images
         for li in self.det_lines:
-            on_img = v in plane.line_sets[self.lmap[li]]
+            on_img = self.lmap[li] in plane.point_lines[v]
             if self.line_mask[li] & pbit:
                 if not on_img:
                     stats.prunes["incidence"] += 1
@@ -203,23 +203,10 @@ class _Searcher:
                 stats.prunes["line_injectivity"] += 1
                 self.undo(journal)
                 return None
-            img_set = plane.line_sets[img]
-            mask = self.line_mask[li]
-            conflict = False
-            for q in range(self.np_):
-                w = self.pmap[q]
-                if w < 0:
-                    continue
-                if mask >> q & 1:
-                    if w not in img_set:
-                        stats.prunes["incidence"] += 1
-                        conflict = True
-                        break
-                elif w in img_set:
-                    stats.prunes["non_incidence"] += 1
-                    conflict = True
-                    break
-            if conflict:
+            # the image joins the images of li's two placed points; any
+            # further used point on it is a placed point off li
+            if sum(map(self.used.__getitem__, plane.lines[img])) > 2:
+                stats.prunes["non_incidence"] += 1
                 self.undo(journal)
                 return None
             self.lmap[li] = img

@@ -69,6 +69,17 @@ def test_criterion_11_bagchi_bound(ctx):
     _run(acc.criterion_11_bagchi_bound, ctx)
 
 
+def test_criterion_06_releases_pg2_49():
+    # criteria 5 and 6 are the only users of PG(2,49); its tables must not
+    # stay alive under the later rows
+    own = acc.AcceptanceContext(seed=0)
+    assert acc.criterion_5_baer_witnesses(own).passed
+    assert (7, 2) in own._planes
+    assert acc.criterion_6_isbaer_roundtrip(own).passed
+    assert (7, 2) not in own._planes
+    assert {(3, 2), (5, 2)} <= set(own._planes)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_dual_words_match_the_per_word_products(ctx, seed):
     """Criterion 10's batched words equal one vector-matrix product per draw."""

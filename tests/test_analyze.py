@@ -238,7 +238,7 @@ def test_extract_antipodal_class_scan_matches_reference(pg9, monkeypatch):
             local = {x: i for i, x in enumerate(want)}
             lines = [
                 tuple(sorted(local[x] for x in ls & set(want)))
-                for ls in pg9.line_sets
+                for ls in map(frozenset, pg9.lines)
                 if len(ls & set(want)) == 3
             ]
             assert pts == tuple(want)

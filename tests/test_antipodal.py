@@ -98,6 +98,18 @@ def test_pg24_complement_isomorphic_to_cyclic():
     assert mapped == sorted(b.lines)
 
 
+def test_isomorphism_search_counts_are_pinned():
+    # a partial linear space as the target: two placed images may have no
+    # join, or a forced line image may miss a later point of its source
+    # line; both count as incidence prunes
+    out = search.embed_search(antipodal_from_pg24(), cyclic_antipodal(3), normalize=False)
+    assert out.status == "found"
+    assert out.stats.nodes == 34
+    assert out.stats.prunes == {
+        "injectivity": 0, "incidence": 10, "non_incidence": 0, "line_injectivity": 0,
+    }
+
+
 def test_isomorphism_rejects_different_structures():
     assert isomorphism(cyclic_antipodal(2), cyclic_antipodal(3)) is None
 
@@ -240,7 +252,7 @@ def reference_mobius_kantor_pls(plane, omega=None):
     pts = [index[normalize(c)] for c in mobius_kantor_points(f, omega)]
     local = {p: i for i, p in enumerate(pts)}
     lines = []
-    for ls in plane.line_sets:
+    for ls in map(frozenset, plane.lines):
         hit = ls & set(pts)
         if len(hit) >= 3:
             assert len(hit) == 3

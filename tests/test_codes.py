@@ -271,7 +271,7 @@ def test_is_dual_word_single_line_fails_with_witness(planes):
     assert not ok
     assert witness is not None
     # the witness line meets the support in a number of points not divisible by 3
-    assert len(plane.line_sets[witness] & set(w.support.tolist())) % 3 != 0
+    assert len(frozenset(plane.lines[witness]) & set(w.support.tolist())) % 3 != 0
 
 
 def test_difference_of_two_lines_is_dual(planes):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from planecode.field import field_new
+from planecode.field import FieldError, field_new
 from planecode.geometry import (
     AxiomViolationError,
     BadShapeError,
@@ -15,6 +15,7 @@ from planecode.geometry import (
     SamePointError,
     SubplaneResult,
     TriangleSideError,
+    _int_rows,
     _quadrangle_closures,
     _restricted_lines,
     baer_subfield_subplane,
@@ -115,7 +116,7 @@ def test_line_through_symmetric_on_fano():
         for q in range(p + 1, 7):
             l = plane.line_through(p, q)
             assert l == plane.line_through(q, p)
-            assert p in plane.line_sets[l] and q in plane.line_sets[l]
+            assert p in frozenset(plane.lines[l]) and q in frozenset(plane.lines[l])
     with pytest.raises(SamePointError):
         plane.line_through(3, 3)
 
@@ -124,9 +125,21 @@ def test_meet_lies_on_both_lines(pg4):
     for l in range(0, 21, 5):
         for m in range(l + 1, 21, 3):
             x = pg4.meet(l, m)
-            assert x in pg4.line_sets[l] and x in pg4.line_sets[m]
+            assert x in frozenset(pg4.lines[l]) and x in frozenset(pg4.lines[m])
     with pytest.raises(SameLineError):
         pg4.meet(2, 2)
+
+
+def test_is_incident_agrees_with_the_lines(pg4, pg9):
+    relabel = [3, 6, 0, 5, 1, 4, 2]
+    fano = plane_from_incidence([[relabel[x] for x in l] for l in reversed(FANO_LINES)], 2)
+    for plane in (pg4, pg9, fano):
+        incident = 0
+        for l, members in enumerate(plane.lines):
+            for x in range(plane.npoints):
+                assert plane.is_incident(x, l) == (x in members)
+                incident += x in members
+        assert incident == plane.npoints * (plane.order + 1)
 
 
 def test_meet_of_lines_through_common_point(pg9):
@@ -217,7 +230,7 @@ def test_slope_errors(pg9):
         slope(pg9, 1, side)
     off = next(
         l for l in range(pg9.npoints)
-        if a1 not in pg9.line_sets[l]
+        if a1 not in frozenset(pg9.lines[l])
     )
     with pytest.raises(NotThroughVertexError):
         slope(pg9, 1, off)
@@ -226,15 +239,15 @@ def test_slope_errors(pg9):
 def _triangle_free_lines(plane):
     a1, a2, a3 = fundamental_triangle(plane)
     tri = {a1, a2, a3}
-    return [l for l in range(plane.npoints) if not (tri & plane.line_sets[l])]
+    return [l for l in range(plane.npoints) if not (tri & frozenset(plane.lines[l]))]
 
 
 def _off_side_points(plane):
     a1, a2, a3 = fundamental_triangle(plane)
     sides = (
-        plane.line_sets[plane.line_through(a2, a3)]
-        | plane.line_sets[plane.line_through(a1, a3)]
-        | plane.line_sets[plane.line_through(a1, a2)]
+        frozenset(plane.lines[plane.line_through(a2, a3)])
+        | frozenset(plane.lines[plane.line_through(a1, a3)])
+        | frozenset(plane.lines[plane.line_through(a1, a2)])
     )
     return [p for p in range(plane.npoints) if p not in sides]
 
@@ -258,9 +271,9 @@ def test_menelaos_and_ceva_exhaustive(p, h):
 def test_any_two_lines_meet_exactly_once(p, h):
     plane = pg2(field_new(p, h))
     for l1 in range(plane.npoints):
-        s1 = plane.line_sets[l1]
+        s1 = frozenset(plane.lines[l1])
         for l2 in range(l1 + 1, plane.npoints):
-            assert len(s1 & plane.line_sets[l2]) == 1
+            assert len(s1 & frozenset(plane.lines[l2])) == 1
 
 
 def test_ceva_unit_point_pg5():
@@ -388,12 +401,13 @@ def test_pg2_matches_reference(q):
     assert plane.point_lines_arr.dtype == np.int32
     assert np.array_equal(plane.point_lines_arr, np.array(point_lines))
     assert np.array_equal(plane.pair_line, reference_validate(lines, q))
-    assert np.array_equal(plane.pair_point_rows(), reference_pair_point(point_lines, N))
+    assert np.array_equal(plane.pair_point(), reference_pair_point(point_lines, N))
     assert [plane.point_index(c) for c in coords] == list(range(N))
 
 
 def test_pg2_refuses_a_field_without_tables():
-    with pytest.raises(GeometryError):
+    # 8192 elements: above the table limit, refused before pg2 is reached
+    with pytest.raises(FieldError, match="lookup-table limit"):
         pg2(field_new(2, 13))
 
 
@@ -474,10 +488,10 @@ def reference_check_subplane(plane, sub):
     if len(pts) != m * m + m + 1 or len(sub.lines) != m * m + m + 1:
         raise GeometryError(f"not a subplane of order {m}: wrong sizes")
     for l in sub.lines:
-        if len(plane.line_sets[l].intersection(pts)) != m + 1:
+        if len(frozenset(plane.lines[l]).intersection(pts)) != m + 1:
             raise GeometryError(f"line {l} does not meet the subplane in {m + 1} points")
     for l in range(plane.npoints):
-        k = len(plane.line_sets[l].intersection(pts))
+        k = len(frozenset(plane.lines[l]).intersection(pts))
         if k > 1 and l not in sub.lines:
             raise GeometryError(f"line {l} meets the subplane in {k} points but is not listed")
 
@@ -487,7 +501,7 @@ def reference_subplane_result_from_points(plane, pts, m):
     if len(pts) != m * m + m + 1:
         return None
     secants = []
-    for l, ls in enumerate(plane.line_sets):
+    for l, ls in enumerate(map(frozenset, plane.lines)):
         k = len(ls & pts)
         if k > 1:
             if k != m + 1:
@@ -497,7 +511,7 @@ def reference_subplane_result_from_points(plane, pts, m):
         return None
     deg = {p: 0 for p in pts}
     for l in secants:
-        for p in plane.line_sets[l] & pts:
+        for p in frozenset(plane.lines[l]) & pts:
             deg[p] += 1
     if any(d != m + 1 for d in deg.values()):
         return None
@@ -510,7 +524,7 @@ def reference_restricted_lines(plane, points, k):
     local = {x: i for i, x in enumerate(points)}
     pset = set(points)
     lines = []
-    for ls in plane.line_sets:
+    for ls in map(frozenset, plane.lines):
         hit = ls & pset
         if len(hit) == k:
             lines.append(tuple(sorted(local[x] for x in hit)))
@@ -612,7 +626,7 @@ def test_line_counts(pg9):
     rng = random.Random(5)
     for size in (0, 1, 2, 13, 40, 91):
         pts = rng.sample(range(pg9.npoints), size)
-        want = [len(ls & set(pts)) for ls in pg9.line_sets]
+        want = [len(ls & set(pts)) for ls in map(frozenset, pg9.lines)]
         for form in (pts, set(pts), frozenset(pts), tuple(pts), np.array(pts, dtype=np.int32)):
             got = pg9.line_counts(form)
             assert got.dtype == np.int64
@@ -655,7 +669,8 @@ def test_point_index_needs_a_generated_plane():
 
 
 def test_pair_rows_share_int_objects(pg9):
-    for rows, table in ((pg9.pair_line_rows(), pg9.pair_line), (pg9.pair_point_rows(), pg9._pair_point)):
+    for table in (pg9.pair_line, pg9.pair_point()):
+        rows = _int_rows(table, pg9.npoints)
         assert rows == tuple(tuple(r) for r in table.tolist())
         assert all(rows[i][i] == -1 for i in range(pg9.npoints))
         seen = {}

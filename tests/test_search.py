@@ -100,6 +100,24 @@ def test_budget_exceeded_is_not_mislabeled():
     assert out.embeddings == []
 
 
+def test_plain_search_counts_are_pinned():
+    # every embedding of MK into PG(2,3), with the engine's work counted
+    out = embed_search(MK, plane_of(3), normalize=False, cap=10**6)
+    assert out.status == "found"
+    assert len(out.embeddings) == 5616
+    assert out.stats.nodes == 31681
+    assert out.stats.prunes == {
+        "injectivity": 0, "incidence": 0, "non_incidence": 5928, "line_injectivity": 0,
+    }
+    out = embed_search(AP3, plane_of(5), normalize=False, budget=100_000)
+    assert out.status == "budget-exceeded"
+    assert out.embeddings == []
+    assert out.stats.nodes == 100_001
+    assert out.stats.prunes == {
+        "injectivity": 0, "incidence": 20248, "non_incidence": 10808, "line_injectivity": 0,
+    }
+
+
 def test_search_determinism():
     a = embed_search(MK, plane_of(7), cap=2)
     b = embed_search(MK, plane_of(7), cap=2)
@@ -116,7 +134,7 @@ def test_verify_fano_subplane_identity_embedding():
     sub = baer_subfield_subplane(plane)
     local = {p: i for i, p in enumerate(sub.points)}
     lines = [
-        tuple(sorted(local[p] for p in plane.line_sets[l] & set(sub.points)))
+        tuple(sorted(local[p] for p in frozenset(plane.lines[l]) & set(sub.points)))
         for l in sub.lines
     ]
     pls = PartialLinearSpace(7, lines)

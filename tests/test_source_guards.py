@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 import planecode
+from planecode.field import field_new
+from planecode.geometry import pg2
 
 
 def _package_nodes():
@@ -20,27 +22,39 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def _is_plane_line_sets(node) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == "line_sets"
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "plane"
-    )
+_REMOVED_CACHES = {"pair_line_rows", "pair_point_rows"}
 
 
-def test_no_loop_over_the_line_sets_of_a_plane():
-    # a per-line scan of a point set goes through Plane.line_counts;
-    # loops over a partial linear space's line_sets (pls) stay allowed
+def _identifiers(node):
+    for field in ("id", "attr", "name", "arg"):
+        value = getattr(node, field, None)
+        if isinstance(value, str):
+            yield value
+
+
+def test_line_sets_only_on_a_partial_linear_space():
+    # a Plane keeps each incidence relation once (lines, point_lines, the
+    # join and meet tables): no frozensets per line and no row-tuple caches.
+    # A partial linear space keeps its line_sets, read as pls.line_sets.
+    pls_lines = set()
+    for _, node in _package_nodes():
+        if isinstance(node, ast.ClassDef) and node.name == "PartialLinearSpace":
+            pls_lines |= set(range(node.lineno, node.end_lineno + 1))
     found = []
     for name, node in _package_nodes():
-        if isinstance(node, (ast.For, ast.comprehension)):
-            it = node.iter
-            if isinstance(it, ast.Call) and isinstance(it.func, ast.Name) and it.func.id == "enumerate":
-                it = it.args[0] if it.args else it
-            if _is_plane_line_sets(it):
-                found.append(f"{name}:{it.lineno}")
+        if isinstance(node, ast.Attribute) and node.attr == "line_sets":
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            allowed = owner == "pls" or (
+                owner == "self" and name == "antipodal.py" and node.lineno in pls_lines
+            )
+            if owner == "plane" or not allowed:
+                found.append(f"{name}:{node.lineno}")
+        if _REMOVED_CACHES.intersection(_identifiers(node)):
+            found.append(f"{name}:{node.lineno}")
     assert found == []
+    plane = pg2(field_new(2))
+    for attr in ("line_sets", *_REMOVED_CACHES):
+        assert not hasattr(plane, attr)
 
 
 def test_float64_only_in_the_bounded_gf_p_products():
