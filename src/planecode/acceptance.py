@@ -9,11 +9,12 @@ pass condition.  Randomized rows take an explicit seed (default 0).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analyze import analyze
+from .analyze import FAIL, NA, PASS, analyze
 from .antipodal import (
     antipodal_from_pg24,
     cyclic_antipodal,
@@ -88,6 +89,11 @@ def _result(number, name, t0, ok, detail) -> CriterionResult:
     return CriterionResult(number, name, bool(ok), detail, time.perf_counter() - t0)
 
 
+def _tally_text(tally) -> str:
+    """Analyzer check counts, so that a "0 failed" made of na checks shows."""
+    return f"(pass {tally[PASS]}, na {tally[NA]}, fail {tally[FAIL]})"
+
+
 def criterion_1_dimension_formula(ctx: AcceptanceContext) -> CriterionResult:
     cases = [
         (2, 1, 4), (3, 1, 7), (2, 2, 10), (5, 1, 16), (7, 1, 29),
@@ -156,10 +162,11 @@ def criterion_5_baer_witnesses(ctx: AcceptanceContext) -> CriterionResult:
         plane = ctx.plane(p, 2)
         w = baer_diff(plane, baer_subfield_subplane(plane))
         dual = is_dual_word(w, plane)[0]
-        a = analyze(w, plane)
-        ok &= w.weight == want and dual and not a.failed()
+        tally = analyze(w, plane).tally()
+        ok &= w.weight == want and dual and not tally[FAIL]
         ctx.checked_words.append((p * p, p, w.weight))
-        details.append(f"q={p * p}: weight {w.weight}, dual={dual}, failed checks {len(a.failed())}")
+        details.append(f"q={p * p}: weight {w.weight}, dual={dual}, "
+                       f"failed checks {tally[FAIL]} {_tally_text(tally)}")
     seconds = time.perf_counter() - t0
     ok &= seconds < 300
     return _result(5, "Baer-diff upper-bound witnesses", t0, ok, "; ".join(details))
@@ -302,13 +309,13 @@ def criterion_10_analyzer_suite(ctx: AcceptanceContext) -> CriterionResult:
             if dual:
                 words.append(w)
         words.extend(w for w in random_dual_words(ctx.dual_code(p, h), rng, 500) if w.weight)
-        failures = 0
+        tally = Counter()
         for w in words:
-            a = analyze(w, plane)
-            failures += len(a.failed())
+            tally.update(analyze(w, plane).tally())
             ctx.checked_words.append((q, p, w.weight))
-        ok &= failures == 0
-        details.append(f"q={q}: {len(words)} words, {failures} failed checks")
+        ok &= tally[FAIL] == 0
+        details.append(f"q={q}: {len(words)} words, {tally[FAIL]} failed checks "
+                       + _tally_text(tally))
     seconds = time.perf_counter() - t0
     ok &= seconds < 600
     return _result(10, "analyzer theorem suite", t0, ok, "; ".join(details))

@@ -3,11 +3,11 @@
 Given a dual word and its plane of order p^2, the analyzer computes the
 colour classes K_lambda, the per-point secant profile (x_A, y_A, z_A and the
 full line-intersection multiset), mu of the word and its negative, the
-colour graph, and a checklist of identities and inequalities.  Checks whose
-hypotheses fail (wrong plane order, weight outside the band
-[2p^2-2p+3, 2p^2-p], missing colour pattern) are reported as not-applicable
-rather than silently skipped: the analyzer doubles as a debugging tool for
-words outside the band.
+colour graph, and a checklist of identities and inequalities.  Each check
+states its hypothesis once (dual word, weight band [2p^2-2p+3, 2p^2-p], odd
+p, colour pattern); a check whose hypothesis fails is reported as
+not-applicable with the reason rather than silently skipped: the analyzer
+doubles as a debugging tool for words outside the band.
 
 Extremal two-colour words are classified and their geometry re-extracted:
 class sizes {p^2, p^2-p} yield the Baer-subplane-minus-secant form, equal
@@ -113,6 +113,7 @@ class WordAnalysis:
     z: np.ndarray
     support: np.ndarray
     line_counts: np.ndarray  # |line cap support| per line
+    point_counts: np.ndarray  # line_counts on the lines through each support point, one row each
     checks: list[CheckResult] = dc_field(default_factory=list)
     colour_components: list[tuple[int, ...]] = dc_field(default_factory=list)
     classification: str = "none"
@@ -122,6 +123,10 @@ class WordAnalysis:
 
     def failed(self) -> list[CheckResult]:
         return [c for c in self.checks if c.status == FAIL]
+
+    def tally(self) -> dict[str, int]:
+        """How many checks passed, were not applicable, and failed."""
+        return {s: sum(c.status == s for c in self.checks) for s in (PASS, NA, FAIL)}
 
     def secant_profile(self, point: int, plane: Plane) -> dict[int, int]:
         """Full multiset {|line cap support|: count} over the lines through
@@ -152,24 +157,17 @@ class WordAnalysis:
 def canonicalize(word: CodeWord, x_counts: np.ndarray, support: np.ndarray) -> CodeWord:
     """Scale the word so colour 1 occurs; among those scalings prefer one
     where a point of K_{p-1} attains the minimal 2-secant count, then the
-    lexicographically least value vector."""
+    lexicographically least value vector.  All scalings share the support
+    and differ at each of its points, so the value at support[0] orders them."""
     p = word.p
     if p == 2 or word.weight == 0:
         return word
-    colours = sorted({int(v) for v in word.values[support]})
-    if not x_counts.size:
-        candidates = [word.scale(pow(c, p - 2, p)) for c in colours]
-        return min(candidates, key=lambda w: tuple(w.values))
-    xmin = int(x_counts.min())
-    min_pts = support[x_counts == int(xmin)]
-    best = None
-    for c in colours:
-        cand = word.scale(pow(c, p - 2, p))
-        pref = bool((cand.values[min_pts] == p - 1).any())
-        key = (not pref, tuple(cand.values))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    vals = word.values[support]
+    # scaled by c^-1, a point of value v lands in K_{p-1} exactly when c = p - v
+    preferred = set((p - vals[x_counts == x_counts.min()]).tolist())
+    first = int(vals[0])
+    c = min(set(vals.tolist()), key=lambda c: (c not in preferred, first * pow(c, p - 2, p) % p))
+    return word.scale(pow(c, p - 2, p))
 
 
 def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> WordAnalysis:
@@ -183,19 +181,13 @@ def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> Wo
 
     support = word.support
     line_counts = plane.line_counts(support)
-    tangents = int((line_counts == 1).sum())
-
-    per_point = line_counts[plane.point_lines_arr[support]] if support.size else np.zeros((0, plane.order + 1), dtype=np.int64)
-    x = (per_point == 2).sum(axis=1)
-    y = (per_point == 3).sum(axis=1)
-    z = (per_point == 4).sum(axis=1)
+    point_counts = line_counts[plane.point_lines_arr[support]]
+    x = (point_counts == 2).sum(axis=1)
 
     canonical = canonicalize(word, x, support)
-    colours = {lam: int(pos.size) for lam, pos in canonical.colour_classes().items()}
-
+    sizes = np.bincount(canonical.values[support], minlength=p).tolist()
     square = plane.order == p * p
     epsilon = word.weight - (2 * p * p - 2 * p + 2) if square else None
-    in_band = square and epsilon is not None and 1 <= epsilon <= p - 2 and dual
 
     a = WordAnalysis(
         word=word,
@@ -203,198 +195,174 @@ def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> Wo
         p=p,
         weight=word.weight,
         epsilon=epsilon,
-        in_band=in_band,
+        in_band=square and dual and 1 <= epsilon <= p - 2,
         dual=dual,
-        tangents=tangents,
-        colours=colours,
+        tangents=int((line_counts == 1).sum()),
+        colours={lam: n for lam, n in enumerate(sizes) if lam and n},
         mu=canonical.mu(),
         mu_neg=canonical.neg().mu(),
         x=x,
-        y=y,
-        z=z,
+        y=(point_counts == 3).sum(axis=1),
+        z=(point_counts == 4).sum(axis=1),
         support=support,
         line_counts=line_counts,
+        point_counts=point_counts,
     )
-    _run_checks(a, plane)
+    _run_checklist(a, plane)
     a.classification = _classify(a)
     return a
 
 
-def _run_checks(a: WordAnalysis, plane: Plane) -> None:
-    p = a.p
-    checks = a.checks
-    c = a.canonical
-    eps = a.epsilon
+# The checklist.  Each check states its hypothesis once, as a sequence of
+# (condition, reason) pairs: the first condition the word fails makes the
+# check na with that reason; a word that meets them all gets the test's
+# (ok, detail).  Every hypothesis but ANY starts with DUAL.
+ANY = ()
+DUAL = ((lambda a: a.dual, "non-dual word"), (lambda a: a.weight > 0, "zero word"))
+BAND = DUAL + ((lambda a: a.in_band, "outside the weight band"),)
+ODD_BAND = DUAL + ((lambda a: a.in_band and a.p > 2, "needs odd p and the weight band"),)
+TWO_COLOURS = DUAL + (
+    (lambda a: a.in_band and set(a.colours) == {1, a.p - 1}, "needs exactly the colours {1, p-1}"),
+)
+SMALL_EPS = DUAL + (
+    (lambda a: a.in_band and a.epsilon in (1, 2) and a.p >= 7, "needs eps in {1,2} and p >= 7"),
+)
 
+
+def _summu(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # (a) mu(c) + mu(-c) = p * weight: an identity for every vector
-    checks.append(
-        CheckResult(
-            "summu",
-            PASS if a.mu + a.mu_neg == p * a.weight else FAIL,
-            f"{a.mu}+{a.mu_neg} vs p*w={p * a.weight}",
-        )
-    )
+    return a.mu + a.mu_neg == a.p * a.weight, f"{a.mu}+{a.mu_neg} vs p*w={a.p * a.weight}"
 
-    if not a.dual or a.weight == 0:
-        na = "non-dual word" if not a.dual else "zero word"
-        for name in (
-            "clmod", "cmod", "no_tangents", "2secants", "even_colours",
-            "boundmu", "gap_0_or_p", "secant_counts", "class_vs_2secants",
-            "class_structure_implications", "colour_graph",
-        ):
-            checks.append(CheckResult(name, NA, na))
-        a.colour_components = ColourGraph(p).components(a.colours) if a.colours else []
-        return
 
+def _clmod(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # (b) per-line mu(c|l) = 0 mod p
-    line_mu = c.values[plane.lines_arr].sum(axis=1)
-    bad = np.flatnonzero(line_mu % p)
-    checks.append(
-        CheckResult("clmod", PASS if bad.size == 0 else FAIL,
-                    "" if bad.size == 0 else f"line {int(bad[0])}")
-    )
+    bad = np.flatnonzero(a.canonical.values[plane.lines_arr].sum(axis=1) % a.p)
+    return bad.size == 0, f"line {int(bad[0])}" if bad.size else ""
+
+
+def _cmod(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # (c) mu(c) = 0 mod p
-    checks.append(CheckResult("cmod", PASS if a.mu % p == 0 else FAIL, f"mu={a.mu}"))
+    return a.mu % a.p == 0, f"mu={a.mu}"
+
+
+def _no_tangents(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # dual words admit no tangent lines
-    checks.append(
-        CheckResult("no_tangents", PASS if a.tangents == 0 else FAIL, f"{a.tangents} tangents")
-    )
+    return a.tangents == 0, f"{a.tangents} tangents"
 
-    band = a.in_band
 
+def _two_secants(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # (d) x_P >= 2p+1-eps for all support points
-    if band:
-        bound = 2 * p + 1 - eps
-        ok = bool((a.x >= bound).all())
-        worst = int(a.x.min()) if a.x.size else 0
-        checks.append(CheckResult("2secants", PASS if ok else FAIL, f"min x={worst}, bound {bound}"))
-    else:
-        checks.append(CheckResult("2secants", NA, "outside the weight band"))
+    bound = 2 * a.p + 1 - a.epsilon
+    return bool((a.x >= bound).all()), f"min x={int(a.x.min())}, bound {bound}"
 
-    # (e) even number of colours (odd p, in band)
-    if band and p > 2:
-        checks.append(
-            CheckResult("even_colours", PASS if len(a.colours) % 2 == 0 else FAIL,
-                        f"{len(a.colours)} colours")
-        )
-    else:
-        checks.append(CheckResult("even_colours", NA, "needs odd p and the weight band"))
 
+def _even_colours(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
+    # (e) an even number of colours
+    return len(a.colours) % 2 == 0, f"{len(a.colours)} colours"
+
+
+def _boundmu(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # (f) |mu(c) - mu(-c)| <= eps * p
-    if band:
-        diff = abs(a.mu - a.mu_neg)
-        checks.append(
-            CheckResult("boundmu", PASS if diff <= eps * p else FAIL, f"|diff|={diff} vs {eps * p}")
-        )
-    else:
-        checks.append(CheckResult("boundmu", NA, "outside the weight band"))
+    diff = abs(a.mu - a.mu_neg)
+    return diff <= a.epsilon * a.p, f"|diff|={diff} vs {a.epsilon * a.p}"
 
+
+def _gap_0_or_p(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # (g) two-colour class size gap in {0, p}
-    if band and set(a.colours) == {1, p - 1}:
-        gap = abs(a.colours[1] - a.colours[p - 1])
-        checks.append(
-            CheckResult("gap_0_or_p", PASS if gap in (0, p) else FAIL, f"gap={gap}")
-        )
-    else:
-        checks.append(CheckResult("gap_0_or_p", NA, "needs exactly the colours {1, p-1}"))
+    gap = abs(a.colours[1] - a.colours[a.p - 1])
+    return gap in (0, a.p), f"gap={gap}"
 
+
+def _secant_counts(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # (h) secant count inequalities and the exact 2-secant identity
-    if band:
-        lower1 = p * p + 2 * p + 2 - eps
-        lower2 = 2 * p * p + 2 * p + 3 - eps
-        ok1 = bool((2 * a.x + a.y >= lower1).all())
-        ok2 = bool((3 * a.x + 2 * a.y + a.z >= lower2).all())
-        per_point = a.line_counts[plane.point_lines_arr[a.support]]
-        big = per_point >= 4
-        correction = ((per_point - 3) * big).sum(axis=1)
-        ok3 = bool((a.x == 2 * p + 1 - eps + correction).all())
-        status = PASS if ok1 and ok2 and ok3 else FAIL
-        checks.append(CheckResult("secant_counts", status, f"{ok1},{ok2},{ok3}"))
-    else:
-        checks.append(CheckResult("secant_counts", NA, "outside the weight band"))
+    p, eps = a.p, a.epsilon
+    ok1 = bool((2 * a.x + a.y >= p * p + 2 * p + 2 - eps).all())
+    ok2 = bool((3 * a.x + 2 * a.y + a.z >= 2 * p * p + 2 * p + 3 - eps).all())
+    correction = ((a.point_counts - 3) * (a.point_counts >= 4)).sum(axis=1)
+    ok3 = bool((a.x == 2 * p + 1 - eps + correction).all())
+    return ok1 and ok2 and ok3, f"{ok1},{ok2},{ok3}"
 
+
+def _class_vs_2secants(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     # (i) x_A <= |K_{p-lambda}| for A in K_lambda
-    if band and p > 2:
-        ok = True
-        detail = ""
-        vals = c.values[a.support]
-        for i, pt in enumerate(a.support):
-            lam = int(vals[i])
-            opp = a.colours.get(p - lam, 0)
-            if int(a.x[i]) > opp:
-                ok, detail = False, f"point {int(pt)}: x={int(a.x[i])} > |K_{p - lam}|={opp}"
-                break
-        checks.append(CheckResult("class_vs_2secants", PASS if ok else FAIL, detail))
-    else:
-        checks.append(CheckResult("class_vs_2secants", NA, "needs odd p and the weight band"))
-
-    # conditional class-size/2-secant structure statements, verified as
-    # implications on the concrete word (hypotheses are often vacuous)
-    if band and p > 2:
-        ok, detail = _kvsx_conditionals(a, plane)
-        checks.append(CheckResult("class_structure_implications", PASS if ok else FAIL, detail))
-    else:
-        checks.append(
-            CheckResult("class_structure_implications", NA, "needs odd p and the weight band")
-        )
-
-    # (j) colour graph components; at most 2 for eps in {1,2}, p >= 7
-    graph = ColourGraph(p)
-    a.colour_components = graph.components(a.colours) if a.colours else []
-    if band and eps in (1, 2) and p >= 7:
-        ncomp = len(a.colour_components)
-        ok = ncomp <= 2 and (ncomp < 2 or any((p + 1) // 2 in comp for comp in a.colour_components))
-        checks.append(CheckResult("colour_graph", PASS if ok else FAIL, f"{ncomp} components"))
-    else:
-        checks.append(CheckResult("colour_graph", NA, "needs eps in {1,2} and p >= 7"))
+    vals = a.canonical.values[a.support]
+    sizes = np.zeros(a.p + 1, dtype=np.int64)
+    sizes[list(a.colours)] = list(a.colours.values())
+    over = np.flatnonzero(a.x > sizes[a.p - vals])
+    if not over.size:
+        return True, ""
+    i = int(over[0])
+    lam = a.p - int(vals[i])
+    return False, f"point {int(a.support[i])}: x={int(a.x[i])} > |K_{lam}|={int(sizes[lam])}"
 
 
 def _kvsx_conditionals(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     """If an opposite class has size 2p+1-eps, every point of the class has
     exactly that many 2-secants and lies only on 2- and 3-secants, with the
     opposite class exactly the far ends of its 2-secants; size 2p+2-eps
-    forces one 4-secant and p^2-2p-2+eps 3-secants instead."""
+    forces one 4-secant and p^2-2p-2+eps 3-secants instead.  These are
+    implications on the concrete word; their hypotheses are often vacuous."""
     p, eps = a.p, a.epsilon
-    c = a.canonical
-    vals = c.values[a.support]
-    pos_of = {int(pt): i for i, pt in enumerate(a.support)}
-    for i, pt in enumerate(a.support):
-        if int(a.x[i]) == 2 * p + 1 - eps:
-            lam = int(vals[i])
-            if a.colours.get(p - lam, 0) != 2 * p + 1 - eps:
-                return False, f"x({int(pt)}) minimal but opposite class size differs"
-    for lam, _size in a.colours.items():
+    values = a.canonical.values
+    vals = values[a.support]
+    low = 2 * p + 1 - eps
+    for i in np.flatnonzero(a.x == low):
+        if a.colours.get(p - int(vals[i]), 0) != low:
+            return False, f"x({int(a.support[i])}) minimal but opposite class size differs"
+    for lam in a.colours:
         opp = a.colours.get(p - lam, 0)
-        members = [int(pt) for i, pt in enumerate(a.support) if int(vals[i]) == lam]
-        if opp == 2 * p + 1 - eps:
-            for pt in members:
-                i = pos_of[pt]
-                if int(a.x[i]) != 2 * p + 1 - eps:
+        members = np.flatnonzero(vals == lam)
+        if opp == low:
+            opp_pts = set(a.support[vals == p - lam].tolist())
+            for i in members:
+                pt = int(a.support[i])
+                if int(a.x[i]) != low:
                     return False, f"colour {lam}: x({pt}) != 2p+1-eps"
                 if int(a.z[i]) != 0 or int(a.x[i] + a.y[i]) != plane.order + 1:
                     return False, f"colour {lam}: point {pt} not on 2/3-secants only"
-                ends = set()
-                for li in plane.point_lines[pt]:
-                    if int(a.line_counts[li]) == 2:
-                        other = next(
-                            x for x in plane.lines[li]
-                            if x != pt and c.values[x] != 0
-                        )
-                        ends.add(other)
-                opp_pts = {int(q) for q in a.support if int(c.values[q]) == p - lam}
-                if ends != opp_pts:
+                ends = plane.lines_arr[plane.point_lines_arr[pt][a.point_counts[i] == 2]]
+                if set(ends[(values[ends] != 0) & (ends != pt)].tolist()) != opp_pts:
                     return False, f"colour {lam}: 2-secant ends differ from opposite class"
-        if opp == 2 * p + 2 - eps:
-            for pt in members:
-                i = pos_of[pt]
-                good = (
-                    int(a.x[i]) == 2 * p + 2 - eps
-                    and int(a.z[i]) == 1
-                    and int(a.y[i]) == p * p - 2 * p - 2 + eps
-                )
-                if not good:
-                    return False, f"colour {lam}: point {pt} profile mismatch"
+        if opp == low + 1:
+            for i in members:
+                if (a.x[i], a.z[i], a.y[i]) != (low + 1, 1, p * p - 2 * p - 2 + eps):
+                    return False, f"colour {lam}: point {int(a.support[i])} profile mismatch"
     return True, ""
+
+
+def _colour_graph(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
+    # (j) colour graph components: at most 2, and if 2, one holds (p+1)/2
+    comps = a.colour_components
+    ok = len(comps) <= 2 and (len(comps) < 2 or any((a.p + 1) // 2 in c for c in comps))
+    return ok, f"{len(comps)} components"
+
+
+# name, hypothesis, test; in report order
+CHECKLIST = (
+    ("summu", ANY, _summu),
+    ("clmod", DUAL, _clmod),
+    ("cmod", DUAL, _cmod),
+    ("no_tangents", DUAL, _no_tangents),
+    ("2secants", BAND, _two_secants),
+    ("even_colours", ODD_BAND, _even_colours),
+    ("boundmu", BAND, _boundmu),
+    ("gap_0_or_p", TWO_COLOURS, _gap_0_or_p),
+    ("secant_counts", BAND, _secant_counts),
+    ("class_vs_2secants", ODD_BAND, _class_vs_2secants),
+    ("class_structure_implications", ODD_BAND, _kvsx_conditionals),
+    ("colour_graph", SMALL_EPS, _colour_graph),
+)
+
+
+def _run_checklist(a: WordAnalysis, plane: Plane) -> None:
+    a.colour_components = ColourGraph(a.p).components(a.colours)
+    for name, hypothesis, test in CHECKLIST:
+        reason = next((why for holds, why in hypothesis if not holds(a)), None)
+        if reason:
+            a.checks.append(CheckResult(name, NA, reason))
+        else:
+            ok, detail = test(a, plane)
+            a.checks.append(CheckResult(name, PASS if ok else FAIL, detail))
 
 
 def _classify(a: WordAnalysis) -> str:

@@ -146,13 +146,14 @@ class Field:
     )
 
     def __init__(self, p: int, h: int = 1, modulus: Sequence[int] | None = None):
-        if not isinstance(p, int) or not is_prime(p):
+        # the cap comes before trial division, and p**h is formed only below it
+        if not isinstance(p, int) or p < 2 or (p <= _TABLE_LIMIT and not is_prime(p)):
             raise NotPrimeError(f"p must be a prime integer, got {p!r}")
         if not isinstance(h, int) or h < 1:
             raise FieldError(f"h must be a positive integer, got {h!r}")
+        if p > _TABLE_LIMIT or h >= _TABLE_LIMIT.bit_length() or p**h > _TABLE_LIMIT:
+            raise FieldError(f"field order {p}^{h} exceeds the lookup-table limit {_TABLE_LIMIT}")
         q = p**h
-        if q > _TABLE_LIMIT:
-            raise FieldError(f"field order {q} exceeds the lookup-table limit {_TABLE_LIMIT}")
         if modulus is None:
             modulus = _default_modulus(p, h)
         else:
@@ -175,7 +176,14 @@ class Field:
         p, h, q = self.p, self.h, self.q
         powers = p ** np.arange(h, dtype=np.int64)
         coeffs = (np.arange(q, dtype=np.int64)[:, None] // powers[None, :]) % p
-        self._add_t = (((coeffs[:, None, :] + coeffs[None, :, :]) % p) @ powers).astype(np.int32)
+        add = np.zeros((q, q), dtype=np.int32)
+        for i in range(h):  # one base-p digit at a time: no q x q x h temporary
+            digit = coeffs[:, i].astype(np.int32)
+            t = np.add.outer(digit, digit)
+            t %= p
+            t *= p**i
+            add += t
+        self._add_t = add
         self._neg_t = (((-coeffs) % p) @ powers).astype(np.int32)
         mul = np.empty((q, q), dtype=np.int32)
         for b in range(q):

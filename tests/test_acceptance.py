@@ -4,6 +4,8 @@ Each test prints one pass/fail line; `planecode suite acceptance` runs the
 same battery from the command line.
 """
 
+import re
+
 import pytest
 
 from planecode import acceptance as acc
@@ -78,6 +80,25 @@ def test_criterion_06_releases_pg2_49():
     assert acc.criterion_6_isbaer_roundtrip(own).passed
     assert (7, 2) not in own._planes
     assert {(3, 2), (5, 2)} <= set(own._planes)
+
+
+def test_analyzer_rows_report_check_tallies():
+    # criteria 5 and 10 count every analyzer check as pass, na or fail, so a
+    # "0 failed checks" that is mostly na shows; 12 checks per word
+    own = acc.AcceptanceContext(seed=0)
+    for row, words_in in (
+        (acc.criterion_5_baer_witnesses(own), lambda part: 1),
+        (acc.criterion_10_analyzer_suite(own),
+         lambda part: int(re.search(r"(\d+) words", part)[1])),
+    ):
+        parts = row.detail.split("; ")
+        assert len(parts) == 3
+        for part in parts:
+            failed = re.search(r"(\d+) failed checks|failed checks (\d+)", part)
+            tally = re.search(r"\(pass (\d+), na (\d+), fail (\d+)\)$", part)
+            passed, na, fail = (int(g) for g in tally.groups())
+            assert passed + na + fail == 12 * words_in(part), part
+            assert na > 0 and fail == 0 == int(failed[1] or failed[2]), part
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,11 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import planecode.analyze as analyzer
 from planecode.analyze import (
+    CHECKLIST,
+    FAIL,
+    NA,
+    PASS,
+    CheckResult,
     ColourGraph,
     NotDualWordError,
     StructureMismatchError,
     analyze,
+    canonicalize,
     extract_antipodal,
     extract_baer,
 )
@@ -244,3 +253,343 @@ def test_extract_antipodal_class_scan_matches_reference(pg9, monkeypatch):
             assert pts == tuple(want)
             assert ap.pls.lines == PartialLinearSpace(8, lines).lines
             assert ap.order == 2
+
+
+# -- the checklist against the branch-per-check code it replaced ---------------
+#
+# The three functions below are the analyzer's canonical scaling and checks as
+# they were written before the checklist table: one branch per check, each
+# with its own na case.  They are kept verbatim as oracles.
+
+
+def reference_canonicalize(word, x_counts, support):
+    """Scale the word so colour 1 occurs; among those scalings prefer one
+    where a point of K_{p-1} attains the minimal 2-secant count, then the
+    lexicographically least value vector."""
+    p = word.p
+    if p == 2 or word.weight == 0:
+        return word
+    colours = sorted({int(v) for v in word.values[support]})
+    if not x_counts.size:
+        candidates = [word.scale(pow(c, p - 2, p)) for c in colours]
+        return min(candidates, key=lambda w: tuple(w.values))
+    xmin = int(x_counts.min())
+    min_pts = support[x_counts == int(xmin)]
+    best = None
+    for c in colours:
+        cand = word.scale(pow(c, p - 2, p))
+        pref = bool((cand.values[min_pts] == p - 1).any())
+        key = (not pref, tuple(cand.values))
+        if best is None or key < best[0]:
+            best = (key, cand)
+    return best[1]
+
+
+def reference_run_checks(a, plane):
+    p = a.p
+    checks = a.checks
+    c = a.canonical
+    eps = a.epsilon
+
+    # (a) mu(c) + mu(-c) = p * weight: an identity for every vector
+    checks.append(
+        CheckResult(
+            "summu",
+            PASS if a.mu + a.mu_neg == p * a.weight else FAIL,
+            f"{a.mu}+{a.mu_neg} vs p*w={p * a.weight}",
+        )
+    )
+
+    if not a.dual or a.weight == 0:
+        na = "non-dual word" if not a.dual else "zero word"
+        for name in (
+            "clmod", "cmod", "no_tangents", "2secants", "even_colours",
+            "boundmu", "gap_0_or_p", "secant_counts", "class_vs_2secants",
+            "class_structure_implications", "colour_graph",
+        ):
+            checks.append(CheckResult(name, NA, na))
+        a.colour_components = ColourGraph(p).components(a.colours) if a.colours else []
+        return
+
+    # (b) per-line mu(c|l) = 0 mod p
+    line_mu = c.values[plane.lines_arr].sum(axis=1)
+    bad = np.flatnonzero(line_mu % p)
+    checks.append(
+        CheckResult("clmod", PASS if bad.size == 0 else FAIL,
+                    "" if bad.size == 0 else f"line {int(bad[0])}")
+    )
+    # (c) mu(c) = 0 mod p
+    checks.append(CheckResult("cmod", PASS if a.mu % p == 0 else FAIL, f"mu={a.mu}"))
+    # dual words admit no tangent lines
+    checks.append(
+        CheckResult("no_tangents", PASS if a.tangents == 0 else FAIL, f"{a.tangents} tangents")
+    )
+
+    band = a.in_band
+
+    # (d) x_P >= 2p+1-eps for all support points
+    if band:
+        bound = 2 * p + 1 - eps
+        ok = bool((a.x >= bound).all())
+        worst = int(a.x.min()) if a.x.size else 0
+        checks.append(CheckResult("2secants", PASS if ok else FAIL, f"min x={worst}, bound {bound}"))
+    else:
+        checks.append(CheckResult("2secants", NA, "outside the weight band"))
+
+    # (e) even number of colours (odd p, in band)
+    if band and p > 2:
+        checks.append(
+            CheckResult("even_colours", PASS if len(a.colours) % 2 == 0 else FAIL,
+                        f"{len(a.colours)} colours")
+        )
+    else:
+        checks.append(CheckResult("even_colours", NA, "needs odd p and the weight band"))
+
+    # (f) |mu(c) - mu(-c)| <= eps * p
+    if band:
+        diff = abs(a.mu - a.mu_neg)
+        checks.append(
+            CheckResult("boundmu", PASS if diff <= eps * p else FAIL, f"|diff|={diff} vs {eps * p}")
+        )
+    else:
+        checks.append(CheckResult("boundmu", NA, "outside the weight band"))
+
+    # (g) two-colour class size gap in {0, p}
+    if band and set(a.colours) == {1, p - 1}:
+        gap = abs(a.colours[1] - a.colours[p - 1])
+        checks.append(
+            CheckResult("gap_0_or_p", PASS if gap in (0, p) else FAIL, f"gap={gap}")
+        )
+    else:
+        checks.append(CheckResult("gap_0_or_p", NA, "needs exactly the colours {1, p-1}"))
+
+    # (h) secant count inequalities and the exact 2-secant identity
+    if band:
+        lower1 = p * p + 2 * p + 2 - eps
+        lower2 = 2 * p * p + 2 * p + 3 - eps
+        ok1 = bool((2 * a.x + a.y >= lower1).all())
+        ok2 = bool((3 * a.x + 2 * a.y + a.z >= lower2).all())
+        per_point = a.line_counts[plane.point_lines_arr[a.support]]
+        big = per_point >= 4
+        correction = ((per_point - 3) * big).sum(axis=1)
+        ok3 = bool((a.x == 2 * p + 1 - eps + correction).all())
+        status = PASS if ok1 and ok2 and ok3 else FAIL
+        checks.append(CheckResult("secant_counts", status, f"{ok1},{ok2},{ok3}"))
+    else:
+        checks.append(CheckResult("secant_counts", NA, "outside the weight band"))
+
+    # (i) x_A <= |K_{p-lambda}| for A in K_lambda
+    if band and p > 2:
+        ok = True
+        detail = ""
+        vals = c.values[a.support]
+        for i, pt in enumerate(a.support):
+            lam = int(vals[i])
+            opp = a.colours.get(p - lam, 0)
+            if int(a.x[i]) > opp:
+                ok, detail = False, f"point {int(pt)}: x={int(a.x[i])} > |K_{p - lam}|={opp}"
+                break
+        checks.append(CheckResult("class_vs_2secants", PASS if ok else FAIL, detail))
+    else:
+        checks.append(CheckResult("class_vs_2secants", NA, "needs odd p and the weight band"))
+
+    # conditional class-size/2-secant structure statements, verified as
+    # implications on the concrete word (hypotheses are often vacuous)
+    if band and p > 2:
+        ok, detail = reference_kvsx_conditionals(a, plane)
+        checks.append(CheckResult("class_structure_implications", PASS if ok else FAIL, detail))
+    else:
+        checks.append(
+            CheckResult("class_structure_implications", NA, "needs odd p and the weight band")
+        )
+
+    # (j) colour graph components; at most 2 for eps in {1,2}, p >= 7
+    graph = ColourGraph(p)
+    a.colour_components = graph.components(a.colours) if a.colours else []
+    if band and eps in (1, 2) and p >= 7:
+        ncomp = len(a.colour_components)
+        ok = ncomp <= 2 and (ncomp < 2 or any((p + 1) // 2 in comp for comp in a.colour_components))
+        checks.append(CheckResult("colour_graph", PASS if ok else FAIL, f"{ncomp} components"))
+    else:
+        checks.append(CheckResult("colour_graph", NA, "needs eps in {1,2} and p >= 7"))
+
+
+def reference_kvsx_conditionals(a, plane):
+    """If an opposite class has size 2p+1-eps, every point of the class has
+    exactly that many 2-secants and lies only on 2- and 3-secants, with the
+    opposite class exactly the far ends of its 2-secants; size 2p+2-eps
+    forces one 4-secant and p^2-2p-2+eps 3-secants instead."""
+    p, eps = a.p, a.epsilon
+    c = a.canonical
+    vals = c.values[a.support]
+    pos_of = {int(pt): i for i, pt in enumerate(a.support)}
+    for i, pt in enumerate(a.support):
+        if int(a.x[i]) == 2 * p + 1 - eps:
+            lam = int(vals[i])
+            if a.colours.get(p - lam, 0) != 2 * p + 1 - eps:
+                return False, f"x({int(pt)}) minimal but opposite class size differs"
+    for lam, _size in a.colours.items():
+        opp = a.colours.get(p - lam, 0)
+        members = [int(pt) for i, pt in enumerate(a.support) if int(vals[i]) == lam]
+        if opp == 2 * p + 1 - eps:
+            for pt in members:
+                i = pos_of[pt]
+                if int(a.x[i]) != 2 * p + 1 - eps:
+                    return False, f"colour {lam}: x({pt}) != 2p+1-eps"
+                if int(a.z[i]) != 0 or int(a.x[i] + a.y[i]) != plane.order + 1:
+                    return False, f"colour {lam}: point {pt} not on 2/3-secants only"
+                ends = set()
+                for li in plane.point_lines[pt]:
+                    if int(a.line_counts[li]) == 2:
+                        other = next(
+                            x for x in plane.lines[li]
+                            if x != pt and c.values[x] != 0
+                        )
+                        ends.add(other)
+                opp_pts = {int(q) for q in a.support if int(c.values[q]) == p - lam}
+                if ends != opp_pts:
+                    return False, f"colour {lam}: 2-secant ends differ from opposite class"
+        if opp == 2 * p + 2 - eps:
+            for pt in members:
+                i = pos_of[pt]
+                good = (
+                    int(a.x[i]) == 2 * p + 2 - eps
+                    and int(a.z[i]) == 1
+                    and int(a.y[i]) == p * p - 2 * p - 2 + eps
+                )
+                if not good:
+                    return False, f"colour {lam}: point {pt} profile mismatch"
+    return True, ""
+
+
+@pytest.fixture(scope="module")
+def pg49():
+    return pg2(field_new(7, 2))
+
+
+def _base_records(pg9, pg25, pg49):
+    """(record, plane): in-band Baer words for p = 3, 5, 7, out-of-band,
+    random dual, non-dual and zero words."""
+    rng = np.random.default_rng(17)
+    dual9 = dual_basis(code_of_plane(pg9, 3))
+    words = [(baer_diff(pl, baer_subfield_subplane(pl)), pl) for pl in (pg9, pg25, pg49)]
+    words += [(line_diff(pg9, 0, 1), pg9), (line_diff(pg25, 3, 7), pg25)]
+    words += [
+        (CodeWord(3, rng.integers(0, 3, size=dual9.dimension) @ dual9.generator), pg9)
+        for _ in range(3)
+    ]
+    two_points = np.zeros(91, dtype=np.int64)
+    two_points[[5, 40]] = (2, 1)
+    words += [(CodeWord(3, two_points), pg9)]
+    words += [(CodeWord(5, rng.integers(0, 5, size=651)), pg25)]
+    words += [(CodeWord(3, np.zeros(91, dtype=np.int64)), pg9)]
+    return [(analyze(w, pl, override_non_dual=True), pl) for w, pl in words]
+
+
+def _perturbed(a):
+    """Records with one or two fields changed; each check fails on some."""
+    p = a.p
+    out = [
+        {},
+        {"x": a.x + 1}, {"x": a.x - 1}, {"y": a.y + 1}, {"z": a.z + 1},
+        {"mu": a.mu + 1}, {"mu": a.mu - 1}, {"mu_neg": a.mu_neg + 2 * p},
+        {"tangents": a.tangents + 1},
+        {"dual": not a.dual}, {"in_band": not a.in_band}, {"dual": True, "in_band": True},
+    ]
+    if a.epsilon is not None:
+        out += [{"epsilon": a.epsilon + d} for d in (-1, 1)]
+    if a.colours:
+        first, last = min(a.colours), max(a.colours)
+        out += [
+            {"colours": {**a.colours, first: a.colours[first] + 1}},
+            {"colours": {k: v for k, v in a.colours.items() if k != last}},
+        ]
+        if p > 3:  # a third colour, off the colour graph's component of 1
+            out.append({"colours": {**a.colours, 3: 1}})
+    if a.weight:
+        # another nonzero value at one support point: the support stays
+        v = a.canonical.values.copy()
+        v[a.support[0]] = v[a.support[0]] % (p - 1) + 1
+        out += [{"canonical": CodeWord(p, v)}, {"canonical": a.canonical.scale(p - 1)}]
+    # the colour graph needs eps in {1, 2} and p >= 7
+    out += [{**change, "epsilon": eps} for change in list(out) for eps in (1, 2)]
+    return [dataclasses.replace(a, checks=[], **change) for change in out]
+
+
+def _report(a):
+    return [(c.name, c.status, c.detail) for c in a.checks]
+
+
+def test_checklist_matches_the_reference_on_perturbed_records(pg9, pg25, pg49):
+    failed = set()
+    records = 0
+    for base, plane in _base_records(pg9, pg25, pg49):
+        for rec in _perturbed(base):
+            mine, ref = rec, dataclasses.replace(rec, checks=[])
+            analyzer._run_checklist(mine, plane)
+            reference_run_checks(ref, plane)
+            assert _report(mine) == _report(ref)
+            assert mine.colour_components == ref.colour_components
+            failed |= {c.name for c in mine.failed()}
+            records += 1
+    assert records > 500
+    assert failed == {name for name, _, _ in CHECKLIST}
+
+
+def test_checklist_states_each_check_once_in_report_order(pg9):
+    names = [name for name, _, _ in CHECKLIST]
+    assert names == [
+        "summu", "clmod", "cmod", "no_tangents", "2secants", "even_colours",
+        "boundmu", "gap_0_or_p", "secant_counts", "class_vs_2secants",
+        "class_structure_implications", "colour_graph",
+    ]
+    for a in (
+        analyze(line_diff(pg9, 0, 1), pg9),
+        analyze(CodeWord(3, np.eye(91, dtype=np.int64)[0]), pg9, override_non_dual=True),
+    ):
+        assert [c.name for c in a.checks] == names
+        tally = a.tally()
+        assert list(tally) == [PASS, NA, FAIL]
+        assert sum(tally.values()) == len(names)
+        assert tally[NA] == sum(c.status == NA for c in a.checks) > 0
+    a = analyze(CodeWord(3, np.eye(91, dtype=np.int64)[0]), pg9, override_non_dual=True)
+    assert a.tally() == {PASS: 1, NA: 11, FAIL: 0}
+    assert {c.detail for c in a.checks[1:]} == {"non-dual word"}
+
+
+def _canonical_corpus(pg9, pg25, pg49):
+    """Random dual, Baer, line and non-dual sparse words for p = 2, 3, 5, 7."""
+    rng = np.random.default_rng(23)
+    pg4, pg7 = pg2(field_new(2, 2)), pg2(field_new(7))
+    out = []
+    for p, plane, dual_plane, square in (
+        (2, pg4, pg4, pg4), (3, pg9, pg9, pg9), (5, pg25, pg25, pg25), (7, pg7, pg7, pg49),
+    ):
+        dual = dual_basis(code_of_plane(dual_plane, p))
+        for _ in range(15):
+            msg = rng.integers(0, p, size=dual.dimension)
+            out.append((CodeWord(p, (msg @ dual.generator) % p), dual_plane))
+        sub = baer_subfield_subplane(square)
+        out += [(baer_diff(square, sub, secant=s), square) for s in sub.lines[:3]]
+        n = square.npoints
+        for _ in range(4):
+            a, b = rng.choice(n, 2, replace=False)
+            out.append((line_diff(square, int(a), int(b)), square))
+        for _ in range(10):
+            v = np.zeros(plane.npoints, dtype=np.int64)
+            pos = rng.choice(plane.npoints, int(rng.integers(1, 12)), replace=False)
+            v[pos] = rng.integers(1, p, size=pos.size) if p > 2 else 1
+            out.append((CodeWord(p, v), plane))
+    return out
+
+
+def test_canonicalize_is_scaling_invariant_and_matches_the_reference(pg9, pg25, pg49):
+    seen = set()
+    for w, plane in _canonical_corpus(pg9, pg25, pg49):
+        a = analyze(w, plane, override_non_dual=True)
+        want = reference_canonicalize(w, a.x, a.support)
+        assert canonicalize(w, a.x, a.support) == want
+        for lam in range(1, w.p):
+            assert canonicalize(w.scale(lam), a.x, a.support) == want
+        seen.add((w.p, a.dual))
+    assert seen == {(p, d) for p in (2, 3, 5, 7) for d in (True, False)}

@@ -1,6 +1,12 @@
+import json
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from planecode import cli
 
 from planecode.field import (
     DivisionByZeroError,
@@ -159,3 +165,55 @@ def test_prime_of_power():
     for n in (-4, 0, 1, 6, 12, 18, 100, 2 * 49):
         with pytest.raises(FieldError, match="not a prime power"):
             prime_of_power(n)
+
+
+def test_the_table_limit_is_checked_before_trial_division(capsys):
+    # a huge prime p or exponent h is refused at once, by the cap, without
+    # trial division and without forming p**h; a non-prime p under the cap
+    # is still NotPrimeError
+    for spec, (p, h) in (("1000000000000000003", (1000000000000000003, 1)),
+                         ("2^100000000", (2, 100000000))):
+        t0 = time.perf_counter()
+        with pytest.raises(FieldError, match="lookup-table limit") as info:
+            field_new(p, h)
+        assert not isinstance(info.value, NotPrimeError)
+        code = cli.main(["plane", "build", "--field", spec])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert record["outcome"]["error"] == "FieldError"
+        assert "lookup-table limit" in record["outcome"]["message"]
+        assert time.perf_counter() - t0 < 1.0
+    for p, h in ((4, 10), (4096, 1), (6, 1), (1, 2)):
+        with pytest.raises(NotPrimeError):
+            field_new(p, h)
+    with pytest.raises(FieldError, match="lookup-table limit"):
+        field_new(4099, 1)  # a prime above the cap
+
+
+def _broadcast_addition_table(f, rows=64):
+    """The addition table as first written: a q x q x h broadcast of the
+    coefficient vectors (here over blocks of rows, to bound the test's memory)."""
+    powers = f.p ** np.arange(f.h, dtype=np.int64)
+    coeffs = (np.arange(f.q, dtype=np.int64)[:, None] // powers[None, :]) % f.p
+    return np.concatenate([
+        (((coeffs[i:i + rows, None, :] + coeffs[None, :, :]) % f.p) @ powers).astype(np.int32)
+        for i in range(0, f.q, rows)
+    ])
+
+
+@pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 5), (2, 10)])
+def test_addition_table_matches_the_broadcast(p, h):
+    f = field_new(p, h)
+    want = _broadcast_addition_table(f)
+    assert f._add_t.dtype == want.dtype and np.array_equal(f._add_t, want)
+
+
+def test_table_build_memory_is_bounded():
+    # the tables of GF(2^10) take 8 MiB (int32 addition and multiplication)
+    tracemalloc.start()
+    try:
+        field_new(2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

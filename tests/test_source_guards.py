@@ -72,3 +72,33 @@ def test_float64_only_in_the_bounded_gf_p_products():
             if "float64" in line and not (path == codes_path and any(lineno in r for r in allowed)):
                 found.append(f"{path.name}:{lineno}")
     assert found == []
+
+
+def _na_results_outside_the_runner(source: str) -> tuple[list[int], int]:
+    """Lines of analyze.py that build CheckResult(..., NA, ...) outside the
+    checklist runner, and how many such calls the runner holds."""
+    tree = ast.parse(source)
+    runner = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_run_checklist"
+    ]
+    outside, inside = [], 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult":
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(getattr(arg, "id", None) == "NA" for arg in args):
+                if any(node.lineno in r for r in runner):
+                    inside += 1
+                else:
+                    outside.append(node.lineno)
+    return outside, inside
+
+
+def test_na_results_only_in_the_checklist_runner():
+    # each analyzer check states its hypothesis in analyze.CHECKLIST and the
+    # one runner reports na; a new check cannot add its own else branch
+    source = (Path(planecode.__file__).parent / "analyze.py").read_text()
+    assert _na_results_outside_the_runner(source) == ([], 1)
+    branch = "def f(a):\n    if not a.in_band:\n        CheckResult('x', NA, 'why')\n"
+    assert _na_results_outside_the_runner(source + branch)[0] != []
