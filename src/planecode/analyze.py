@@ -26,7 +26,7 @@ from .antipodal import (
     PartialLinearSpace,
     validate_antipodal,
 )
-from .codes import CodeWord, indicator, is_dual_word, word_diff
+from .codes import CodeWord, indicator, line_values, nonzero_line_sum, word_diff
 from .geometry import Plane, SubplaneResult, _restricted_lines, subplane_result_from_points
 from .field import is_prime
 
@@ -104,6 +104,7 @@ class WordAnalysis:
     epsilon: int | None  # weight - (2p^2-2p+2) when the plane order is p^2
     in_band: bool
     dual: bool
+    witness: int | None  # the first line whose values do not sum to 0 mod p
     tangents: int
     colours: dict[int, int]  # colour -> class size, for the canonical word
     mu: int
@@ -175,12 +176,14 @@ def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> Wo
     p = word.p
     if not is_prime(p):
         raise AnalyzeError(f"word symbol prime {p} is not prime")
-    dual, witness = is_dual_word(word, plane)
+    on_lines = line_values(word, plane)  # the one gather: every line statistic reads it
+    witness = nonzero_line_sum(on_lines, p)
+    dual = witness is None
     if not dual and not override_non_dual:
         raise NotDualWordError(f"word is not in the dual code; witness line {witness}")
 
     support = word.support
-    line_counts = plane.line_counts(support)
+    line_counts = np.count_nonzero(on_lines, axis=1)
     point_counts = line_counts[plane.point_lines_arr[support]]
     x = (point_counts == 2).sum(axis=1)
 
@@ -197,6 +200,7 @@ def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> Wo
         epsilon=epsilon,
         in_band=square and dual and 1 <= epsilon <= p - 2,
         dual=dual,
+        witness=witness,
         tangents=int((line_counts == 1).sum()),
         colours={lam: n for lam, n in enumerate(sizes) if lam and n},
         mu=canonical.mu(),
@@ -235,9 +239,9 @@ def _summu(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
 
 
 def _clmod(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
-    # (b) per-line mu(c|l) = 0 mod p
-    bad = np.flatnonzero(a.canonical.values[plane.lines_arr].sum(axis=1) % a.p)
-    return bad.size == 0, f"line {int(bad[0])}" if bad.size else ""
+    # (b) per-line mu(c|l) = 0 mod p; c is a unit multiple of the word, so the
+    # lines where c's values sum to nonzero are the word's
+    return a.witness is None, "" if a.witness is None else f"line {a.witness}"
 
 
 def _cmod(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:

@@ -42,7 +42,7 @@ def _parse_field_args(args):
     if getattr(args, "modulus", None):
         from .field import field_new
 
-        field = field_new(field.p, field.h, _int_list(args.modulus))
+        field = field_new(field.p, field.h, _int_list(args.modulus, "--modulus"))
     return field
 
 
@@ -62,12 +62,18 @@ def _load_pls(spec: str):
     return formats.read_pls(spec)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+def _int_list(text: str, option: str) -> list[int]:
+    out = []
+    for x in text.replace(",", " ").split():
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise CliError(f"{option}: {x!r} is not an integer") from None
+    return out
 
 
-def _subplane_from_arg(plane, text: str) -> SubplaneResult:
-    pts = _int_list(text)
+def _subplane_from_arg(plane, text: str, option: str) -> SubplaneResult:
+    pts = _int_list(text, option)
     m = 1
     while m * m + m + 1 < len(pts):
         m += 1
@@ -122,7 +128,7 @@ def cmd_code(args) -> dict:
 def cmd_construct(args) -> dict:
     plane = _load_plane(args)
     if args.recipe == "line-diff":
-        lines = _int_list(args.lines) if args.lines else [0, 1]
+        lines = _int_list(args.lines, "--lines") if args.lines else [0, 1]
         if len(lines) != 2:
             raise CliError(f"--lines needs two line indices, got {len(lines)}")
         l1, l2 = lines
@@ -137,8 +143,8 @@ def cmd_construct(args) -> dict:
             {"recipe": "baer-diff", "subplane_order": sub.order, "secant": secant, "dual": True},
         )
     if args.recipe == "subplane-diff":
-        s1 = _subplane_from_arg(plane, args.points1)
-        s2 = _subplane_from_arg(plane, args.points2)
+        s1 = _subplane_from_arg(plane, args.points1, "--points1")
+        s2 = _subplane_from_arg(plane, args.points2, "--points2")
         w, dual = subplane_diff(plane, s1, s2, raw=args.raw)
         return _word_record(args, w, {"recipe": "subplane-diff", "dual": dual})
     pls = _load_pls(args.pls)  # recipe == "antipodal-diff"
@@ -183,7 +189,7 @@ def cmd_antipodal(args) -> dict:
 def cmd_embed(args) -> dict:
     pls = _load_pls(args.pls)
     plane = _load_plane(args)
-    exclude = frozenset(_int_list(args.exclude)) if args.exclude else frozenset()
+    exclude = frozenset(_int_list(args.exclude, "--exclude")) if args.exclude else frozenset()
     out = embed_search(
         pls,
         plane,

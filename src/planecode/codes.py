@@ -286,17 +286,25 @@ def dual_basis(code: LinearCode) -> LinearCode:
     return LinearCode(p, n, dual)
 
 
-def is_dual_word(w: CodeWord, plane: Plane) -> tuple[bool, int | None]:
-    """True iff every line's dot product with w vanishes; witness line on False."""
+def line_values(w: CodeWord, plane: Plane) -> np.ndarray:
+    """The values of w on each line: row l holds them at the points of line l."""
     if w.length != plane.npoints:
         raise LengthMismatchError(
             f"word length {w.length} does not match plane with {plane.npoints} points"
         )
-    sums = w.values[plane.lines_arr].sum(axis=1) % w.p
-    bad = np.flatnonzero(sums)
-    if bad.size:
-        return False, int(bad[0])
-    return True, None
+    return w.values[plane.lines_arr]
+
+
+def nonzero_line_sum(on_lines: np.ndarray, p: int) -> int | None:
+    """The first line whose values (a row of line_values) do not sum to 0 mod p."""
+    bad = np.flatnonzero(on_lines.sum(axis=1) % p)
+    return int(bad[0]) if bad.size else None
+
+
+def is_dual_word(w: CodeWord, plane: Plane) -> tuple[bool, int | None]:
+    """True iff every line's dot product with w vanishes; witness line on False."""
+    witness = nonzero_line_sum(line_values(w, plane), w.p)
+    return witness is None, witness
 
 
 def line_restriction_mu(w: CodeWord, plane: Plane, line: int) -> int:

@@ -256,6 +256,29 @@ def _point_indices(field: Field, x, y, z):
     return (x != 0) * (q + q * mul[s, y]) + ((x != 0) | (y != 0)) * (1 + mul[s, z])
 
 
+def collineation(plane: Plane, matrix, frob: int = 0) -> np.ndarray:
+    """The point permutation g of x -> A x^(p^frob) on a generated PG(2,p^h):
+    A is a nonsingular 3x3 matrix of field element codes, 0 <= frob < h, and
+    g[i] is the index of the image of point i.  The image of a line is
+    plane.pair_line[g[a], g[b]] for any two distinct points a, b on it."""
+    if plane.source != "generated" or plane.field is None:
+        raise NotGeneratedError("collineations need a generated plane")
+    f = plane.field
+    A = np.array(matrix, dtype=object)
+    over_field = all(isinstance(a, (int, np.integer)) and 0 <= a < f.q for a in A.flat)
+    if A.shape != (3, 3) or not over_field:
+        raise GeometryError(f"the matrix is not 3x3 over GF({f.q})")
+    if not isinstance(frob, (int, np.integer)) or not 0 <= frob < f.h:
+        raise GeometryError(f"frob must be in 0..{f.h - 1}, got {frob}")
+    power = np.array([f.pow(a, f.p**frob) for a in f.elements()])
+    x = power[np.array(plane.coords)].T
+    terms = f._mul_t[A.astype(np.int64)[:, :, None], x[None]]  # terms[r, c] = A[r, c] * x_c
+    y = f._add_t[f._add_t[terms[:, 0], terms[:, 1]], terms[:, 2]]
+    if not y.any(axis=0).all():
+        raise GeometryError("the matrix is singular: it maps a point to zero")
+    return _point_indices(f, *y)
+
+
 def plane_from_incidence(rows: list[list[int]], n: int) -> Plane:
     """Build a validated plane of order n from raw point-index rows (one per line)."""
     if n > INGEST_ORDER_CAP:
@@ -281,9 +304,8 @@ def baer_subfield_subplane(plane: Plane) -> SubplaneResult:
     if f.h % 2 != 0:
         raise NotSquareOrderError(f"order {plane.order} is not a square of a subfield order")
     d = f.h // 2
-    inside = {x for x in f.elements() if f.in_subfield(x, d)}
-    pts = frozenset(i for i, c in enumerate(plane.coords) if inside.issuperset(c))
-    res = subplane_result_from_points(plane, pts, f.p**d)
+    fixed = collineation(plane, np.eye(3, dtype=np.int64), frob=d) == np.arange(plane.npoints)
+    res = subplane_result_from_points(plane, frozenset(np.flatnonzero(fixed).tolist()), f.p**d)
     if res is None:
         raise GeometryError(f"the GF({f.p}^{d}) points of {plane} are not a subplane")
     return res
@@ -300,24 +322,27 @@ def check_subplane(plane: Plane, sub: SubplaneResult) -> None:
 
 
 def _closure(
-    pair_line: tuple,
-    pair_point: tuple,
+    join: tuple,
+    meet: tuple,
     seed: tuple[int, int, int, int],
     cap: int,
     min_point: int,
 ) -> frozenset | None:
-    """Close a quadrangle under join/meet.
+    """Close a quadrangle under join/meet (the lazy rows of the two pair
+    tables, see _lazy_rows).
 
     Returns None if the closure escapes the size cap (cap points or cap
     spanned lines) or produces a point below min_point (that closure is
     reachable from an earlier seed).
     """
+    pair_line, join_row = join
+    pair_point, meet_row = meet
     pts = set(seed)
     while True:
         spanned: set[int] = set()
         plist = sorted(pts)
         for i, a in enumerate(plist):
-            row = pair_line[a]
+            row = pair_line[a] or join_row(a)
             for b in plist[i + 1:]:
                 spanned.add(row[b])
             if len(spanned) > cap:
@@ -327,7 +352,7 @@ def _closure(
         new: set[int] = set()
         llist = sorted(spanned)
         for i, l1 in enumerate(llist):
-            row = pair_point[l1]
+            row = pair_point[l1] or meet_row(l1)
             for l2 in llist[i + 1:]:
                 x = row[l2]
                 if x not in pts and x not in new:
@@ -369,6 +394,21 @@ def _restricted_lines(plane: Plane, points, k: int) -> list[tuple[int, ...]]:
     return [tuple(r) for r in np.sort(hits[hits >= 0].reshape(-1, k), axis=1).tolist()]
 
 
+def _lazy_rows(table: np.ndarray) -> tuple[list, object]:
+    """The rows of an N x N pair table as tuples of ints, each built on its
+    first read, so a search that stops early converts only what it read:
+    a list holding None for a row not yet built, and the function that
+    builds row i.  Row i is rows[i] or build(i), at list-index speed."""
+    ints = [*range(len(table)), -1]
+    rows: list = [None] * len(table)
+
+    def build(i: int) -> tuple[int, ...]:
+        row = rows[i] = tuple(map(ints.__getitem__, table[i].tolist()))
+        return row
+
+    return rows, build
+
+
 def _quadrangle_closures(plane: Plane, pool, cap: int):
     """Close every quadrangle of a sorted point pool, in lexicographic order.
 
@@ -378,16 +418,16 @@ def _quadrangle_closures(plane: Plane, pool, cap: int):
     closure is reached from an earlier quadrangle).
     """
     # row tuples for the pure-Python loops, alive only while this generator is
-    T = _int_rows(plane.pair_line, plane.npoints)
-    M = _int_rows(plane.pair_point(), plane.npoints)
+    join, meet = _lazy_rows(plane.pair_line), _lazy_rows(plane.pair_point())
+    T, join_row = join
     n = len(pool)
     for i in range(n):
         a = pool[i]
-        Ta = T[a]
+        Ta = T[a] or join_row(a)
         for j in range(i + 1, n):
             b = pool[j]
             lab = Ta[b]
-            Tb = T[b]
+            Tb = T[b] or join_row(b)
             for k in range(j + 1, n):
                 c = pool[k]
                 if Ta[c] == lab:
@@ -396,7 +436,7 @@ def _quadrangle_closures(plane: Plane, pool, cap: int):
                 for d in pool[k + 1:]:
                     if Ta[d] == lab or Ta[d] == lac or Tb[d] == lbc:
                         continue
-                    yield _closure(T, M, (a, b, c, d), cap, a)
+                    yield _closure(join, meet, (a, b, c, d), cap, a)
 
 
 def subplane_search(
@@ -412,6 +452,8 @@ def subplane_search(
     """
     if m < 2:
         raise GeometryError("subplane order must be >= 2")
+    if limit < 1:
+        raise GeometryError(f"limit must be at least 1, got {limit}")
     found: dict[frozenset, SubplaneResult] = {}
     nodes = 0
     closures = _quadrangle_closures(plane, range(plane.npoints), m * m + m + 1)

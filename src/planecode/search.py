@@ -22,8 +22,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .antipodal import AntipodalPlane, PartialLinearSpace, is_good_triangle
-from .field import Field
-from .geometry import NotGeneratedError, Plane, slope_from_coords
+from .geometry import NotGeneratedError, Plane, collineation, fundamental_triangle, slope_from_coords
 
 DEFAULT_BUDGET = 10**9
 
@@ -78,6 +77,10 @@ def verify_embedding(
     pm, lm = emb.point_map, emb.line_map
     if len(pm) != pls.n_points or len(lm) != len(pls.lines):
         return False, ("shape", len(pm), len(lm))
+    out_of_range = [("point-range", v) for v in pm if not 0 <= v < len(plane.point_lines)]
+    out_of_range += [("line-range", l) for l in lm if not 0 <= l < len(plane.lines)]
+    if out_of_range:
+        return False, out_of_range[0]
     if len(set(pm)) != len(pm):
         dup = next(v for v in pm if pm.count(v) > 1)
         return False, ("point-injectivity", dup)
@@ -296,6 +299,11 @@ def embed_search(
     The target may also be a PartialLinearSpace, which is searched as a
     plane that is not generated (no frame normalization).
     """
+    if cap < 1:
+        raise SearchError(f"cap must be at least 1, got {cap}")
+    n_target = len(plane.point_lines)
+    if any(not 0 <= v < n_target for v in exclude):
+        raise SearchError(f"an excluded point is outside 0..{n_target - 1}")
     generated = getattr(plane, "source", None) == "generated"  # a PLS has no source
     if normalize is None:
         normalize = generated and not exclude
@@ -314,12 +322,7 @@ def embed_search(
         except NoQuadrangleError:
             seed = None  # fall back to the plain exhaustive search
         if seed is not None:
-            frame = (
-                plane.point_index((1, 0, 0)),
-                plane.point_index((0, 1, 0)),
-                plane.point_index((0, 0, 1)),
-                plane.point_index((1, 1, 1)),
-            )
+            frame = (*fundamental_triangle(plane), plane.point_index((1, 1, 1)))
             seed_plan = list(zip(seed, frame))
 
     status = "exhausted-none"
@@ -362,28 +365,6 @@ class SlopeCertificate:
         return self.product == self.minus_one
 
 
-def _adjugate3(f: Field, cols) -> list[list[int]]:
-    """Adjugate of the matrix with the given columns: adj(A) @ A = det(A) I,
-    so it maps the i-th column onto a scalar multiple of e_i."""
-    a = [[cols[j][i] for j in range(3)] for i in range(3)]
-
-    def m2(r1, c1, r2, c2):
-        return f.sub(f.mul(a[r1][c1], a[r2][c2]), f.mul(a[r1][c2], a[r2][c1]))
-
-    return [
-        [m2(1, 1, 2, 2), f.neg(m2(0, 1, 2, 2)), m2(0, 1, 1, 2)],
-        [f.neg(m2(1, 0, 2, 2)), m2(0, 0, 2, 2), f.neg(m2(0, 0, 1, 2))],
-        [m2(1, 0, 2, 1), f.neg(m2(0, 0, 2, 1)), m2(0, 0, 1, 1)],
-    ]
-
-
-def _matvec(f: Field, m, v):
-    return tuple(
-        f.add(f.add(f.mul(m[r][0], v[0]), f.mul(m[r][1], v[1])), f.mul(m[r][2], v[2]))
-        for r in range(3)
-    )
-
-
 def slope_certificate(
     ap: AntipodalPlane,
     plane: Plane,
@@ -396,13 +377,16 @@ def slope_certificate(
     antipodes; their product equals -1.
 
     Individual T_i depend on the coordinate normalization (the image
-    triangle is moved onto the fundamental one by the adjugate matrix); the
+    triangle is moved onto the fundamental one by a collineation); the
     product does not.
     """
     f = plane.field
     if f is None:
         raise NotGeneratedError("slope certificates need a generated plane")
     pls = ap.pls
+    ok, witness = verify_embedding(pls, plane, emb)
+    if not ok:
+        raise SearchError(f"not an embedding of the antipodal plane: witness {witness}")
     if triangle is None:
         from .antipodal import find_good_triangle
 
@@ -423,8 +407,10 @@ def slope_certificate(
             f"line {transversal} meets the triangle or its antipodes"
         )
     sides = {pls.line_of(a, b), pls.line_of(a, c), pls.line_of(b, c)}
-    cols = [plane.coords[emb.point_map[v]] for v in (a, b, c)]
-    m = _adjugate3(f, cols)
+    # the collineation with the triangle's images as matrix columns maps the
+    # fundamental triangle onto them; its inverse moves the embedding back
+    columns = [plane.coords[emb.point_map[v]] for v in (a, b, c)]
+    back = collineation(plane, list(zip(*columns))).argsort()
     products = []
     for idx, vertex in enumerate((a, b, c), start=1):
         through = [li for li in pls.point_lines[vertex] if li not in sides]
@@ -435,7 +421,7 @@ def slope_certificate(
         t = 1
         for li in through:
             other = next(q for q in pls.lines[li] if q != vertex)
-            pt = _matvec(f, m, plane.coords[emb.point_map[other]])
+            pt = plane.coords[back[emb.point_map[other]]]
             t = f.mul(t, slope_from_coords(f, idx, pt))
         products.append(t)
     prod = f.mul(f.mul(products[0], products[1]), products[2])

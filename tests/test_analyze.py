@@ -18,7 +18,13 @@ from planecode.analyze import (
     extract_antipodal,
     extract_baer,
 )
-from planecode.codes import CodeWord, code_of_plane, dual_basis, is_dual_word
+from planecode.codes import (
+    CodeWord,
+    LengthMismatchError,
+    code_of_plane,
+    dual_basis,
+    is_dual_word,
+)
 from planecode.construct import baer_diff, line_diff
 from planecode.field import field_new
 from planecode.geometry import baer_subfield_subplane, pg2
@@ -311,8 +317,10 @@ def reference_run_checks(a, plane):
         a.colour_components = ColourGraph(p).components(a.colours) if a.colours else []
         return
 
-    # (b) per-line mu(c|l) = 0 mod p
-    line_mu = c.values[plane.lines_arr].sum(axis=1)
+    # (b) per-line mu(c|l) = 0 mod p, read off the analysed word: c is a unit
+    # multiple of it, so both have the same lines with a nonzero sum (a record
+    # whose canonical word was tampered with keeps the word's verdict)
+    line_mu = a.word.values[plane.lines_arr].sum(axis=1)
     bad = np.flatnonzero(line_mu % p)
     checks.append(
         CheckResult("clmod", PASS if bad.size == 0 else FAIL,
@@ -593,3 +601,21 @@ def test_canonicalize_is_scaling_invariant_and_matches_the_reference(pg9, pg25, 
             assert canonicalize(w.scale(lam), a.x, a.support) == want
         seen.add((w.p, a.dual))
     assert seen == {(p, d) for p in (2, 3, 5, 7) for d in (True, False)}
+
+
+def test_one_line_gather_gives_the_verdict_and_the_line_counts(pg9):
+    rng = np.random.default_rng(8)
+    dual9 = dual_basis(code_of_plane(pg9, 3))
+    words = [baer_diff(pg9, baer_subfield_subplane(pg9)), line_diff(pg9, 2, 5)]
+    words += [CodeWord(3, rng.integers(0, 3, size=dual9.dimension) @ dual9.generator % 3)]
+    words += [CodeWord(3, rng.integers(0, 3, size=91) * (rng.random(91) < d)) for d in (0.1, 0.6)]
+    for w in words:
+        a = analyze(w, pg9, override_non_dual=True)
+        assert (a.dual, a.witness) == is_dual_word(w, pg9)
+        assert a.line_counts.dtype == np.int64
+        assert np.array_equal(a.line_counts, pg9.line_counts(w.support))
+        assert a.check("clmod").status == (PASS if a.dual and w.weight else NA)
+    assert [is_dual_word(w, pg9)[0] for w in words] == [True, True, True, False, False]
+    for length in (90, 92):
+        with pytest.raises(LengthMismatchError):
+            analyze(CodeWord(3, np.zeros(length, dtype=np.int64)), pg9, override_non_dual=True)

@@ -252,6 +252,32 @@ def test_cli_line_diff_needs_two_lines(capsys, lines):
     assert "--lines" in record["outcome"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv,option,entry",
+    [
+        (["embed", "--pls", "builtin:mk", "--field", "3", "--exclude", "1,a"], "--exclude", "a"),
+        (["construct", "subplane-diff", "--field", "2^2", "--points1", "1,x", "--points2", "1"],
+         "--points1", "x"),
+        (["construct", "subplane-diff", "--field", "2^2", "--points1", "0,1,2,5,6,9,10",
+          "--points2", "2;3"], "--points2", "2;3"),
+        (["construct", "line-diff", "--field", "3", "--lines", "0,1.5"], "--lines", "1.5"),
+        (["plane", "build", "--field", "2^2", "--modulus", "1,1,z"], "--modulus", "z"),
+    ],
+)
+def test_cli_integer_lists_name_the_option_and_the_bad_entry(capsys, argv, option, entry):
+    code, record = run_cli(capsys, *argv)
+    assert code == 1
+    assert record["outcome"]["error"] == "CliError"
+    assert record["outcome"]["message"] == f"{option}: {entry!r} is not an integer"
+
+
+@pytest.mark.parametrize("args", [["--cap", "0"], ["--cap", "-5"], ["--exclude", "99999"]])
+def test_cli_embed_refuses_a_bad_cap_or_exclusion(capsys, args):
+    code, record = run_cli(capsys, "embed", "--pls", "builtin:mk", "--field", "3", *args)
+    assert code == 1
+    assert record["outcome"]["error"] == "SearchError"
+
+
 def test_cli_subplane_with_a_negative_index_alias(capsys, pg4):
     pts = list(baer_subfield_subplane(pg4).points)
     alias = pts[:3] + [pts[3] - pg4.npoints] + pts[4:]  # numpy would read it as pts[3]

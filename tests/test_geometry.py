@@ -16,11 +16,13 @@ from planecode.geometry import (
     SubplaneResult,
     TriangleSideError,
     _int_rows,
+    _lazy_rows,
     _quadrangle_closures,
     _restricted_lines,
     baer_subfield_subplane,
     ceva_product,
     check_subplane,
+    collineation,
     fundamental_triangle,
     menelaos_product,
     pg2,
@@ -678,3 +680,145 @@ def test_pair_rows_share_int_objects(pg9):
             for x in row:
                 assert seen.setdefault(x, x) is x
         assert len(seen) == pg9.npoints + 1
+
+
+def test_lazy_rows_build_each_row_on_first_read(pg9):
+    for table in (pg9.pair_line, pg9.pair_point()):
+        rows, build = _lazy_rows(table)
+        assert build(5) == tuple(table[5].tolist()) and rows[5][5] == -1
+        assert [i for i, r in enumerate(rows) if r is not None] == [5]
+        whole = _int_rows(table, pg9.npoints)
+        assert tuple(rows[i] or build(i) for i in range(pg9.npoints)) == whole
+
+
+def test_subplane_search_converts_only_the_rows_it_reads():
+    import tracemalloc
+
+    plane = pg2(field_new(7, 2))
+    plane.pair_point()  # the meet table is built before tracing
+    tracemalloc.start()
+    try:
+        out = subplane_search(plane, 7, limit=1, budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the first quadrangle closes to the GF(7) subplane; converting both
+    # 2451 x 2451 tables to row tuples first peaked at 93 MiB
+    assert (out.nodes, len(out.subplanes), out.exhausted) == (1, 1, False)
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_subplane_search_needs_a_positive_limit(pg4, limit):
+    with pytest.raises(GeometryError, match="limit"):
+        subplane_search(pg4, 2, limit=limit)
+
+
+# -- collineations ----------------------------------------------------------------
+
+
+def _matmul(f, a, b):
+    return [
+        [f.add(f.add(f.mul(a[r][0], b[0][c]), f.mul(a[r][1], b[1][c])), f.mul(a[r][2], b[2][c]))
+         for c in range(3)]
+        for r in range(3)
+    ]
+
+
+def _det(f, a):
+    def minor(r1, c1, r2, c2):
+        return f.sub(f.mul(a[r1][c1], a[r2][c2]), f.mul(a[r1][c2], a[r2][c1]))
+
+    terms = (f.mul(a[0][0], minor(1, 1, 2, 2)), f.mul(a[0][1], minor(1, 0, 2, 2)),
+             f.mul(a[0][2], minor(1, 0, 2, 1)))
+    return f.add(f.sub(terms[0], terms[1]), terms[2])
+
+
+def _random_matrix(f, rng):
+    """A random nonsingular 3x3 matrix over f, by rejection on Field arithmetic."""
+    while True:
+        a = [[rng.randrange(f.q) for _ in range(3)] for _ in range(3)]
+        if _det(f, a):
+            return a
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25])
+def test_collineation_maps_lines_onto_lines(q):
+    plane = pg2(field_new(*ORACLE_FIELDS[q]))
+    N, h = plane.npoints, plane.field.h
+    rng = random.Random(q)
+    for frob in sorted({0, h - 1, rng.randrange(h)}):
+        g = collineation(plane, _random_matrix(plane.field, rng), frob)
+        assert np.array_equal(np.sort(g), np.arange(N))
+        # a line's image: the join of the images of two of its points
+        img = g[plane.lines_arr]
+        line_image = plane.pair_line[img[:, 0], img[:, 1]]
+        assert np.array_equal(np.sort(line_image), np.arange(N))
+        assert np.array_equal(np.sort(img, axis=1), plane.lines_arr[line_image])
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 25])
+def test_collineation_composition_is_the_semilinear_product(q):
+    # (A, s) after (B, t) is x -> A (B x^(p^t))^(p^s) = A B^(p^s) x^(p^(s+t))
+    plane = pg2(field_new(*ORACLE_FIELDS[q]))
+    f = plane.field
+    rng = random.Random(100 + q)
+    for _ in range(4):
+        a, b = _random_matrix(f, rng), _random_matrix(f, rng)
+        s, t = rng.randrange(f.h), rng.randrange(f.h)
+        b_twisted = [[f.pow(x, f.p**s) for x in row] for row in b]
+        product = collineation(plane, _matmul(f, a, b_twisted), (s + t) % f.h)
+        assert np.array_equal(collineation(plane, a, s)[collineation(plane, b, t)], product)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25])
+def test_frobenius_has_order_h(q):
+    plane = pg2(field_new(*ORACLE_FIELDS[q]))
+    g = collineation(plane, np.eye(3, dtype=np.int64), frob=1)
+    perm = np.arange(plane.npoints)
+    for k in range(1, plane.field.h + 1):
+        perm = g[perm]
+        assert np.array_equal(perm, np.arange(plane.npoints)) == (k == plane.field.h)
+
+
+def test_collineation_rejections(pg9):
+    eye = np.eye(3, dtype=np.int64)
+    with pytest.raises(NotGeneratedError):
+        collineation(plane_from_incidence(FANO_LINES, 2), eye)
+    not_over_gf9 = [
+        [[1, 0], [0, 1]], eye[:2], [[1, 0, 0], [0, 1], [0, 0, 1]], "eye", eye * 1.0,
+        [[1, 0, 0], [0, 1, 0], [0, 0, 9]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+    ]
+    for bad in not_over_gf9:
+        with pytest.raises(GeometryError, match="3x3"):
+            collineation(pg9, bad)
+    for frob in (-1, 2, 1.0):
+        with pytest.raises(GeometryError, match="frob"):
+            collineation(pg9, eye, frob)
+    rng = random.Random(9)
+    singular = 0
+    for _ in range(300):  # singular exactly when the determinant vanishes
+        a = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        if _det(pg9.field, a):
+            collineation(pg9, a)
+        else:
+            singular += 1
+            with pytest.raises(GeometryError, match="singular"):
+                collineation(pg9, a)
+    assert singular > 0
+
+
+def test_baer_orbit_under_two_random_collineations(pg9):
+    rng = random.Random(5)
+    gens = [collineation(pg9, _random_matrix(pg9.field, rng)) for _ in range(2)]
+    start = baer_subfield_subplane(pg9).points
+    orbit, frontier = {start}, [start]
+    while frontier:
+        pts = np.array(frontier.pop())
+        for g in gens:
+            image = tuple(sorted(g[pts].tolist()))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    assert len(orbit) == 7560  # |PGL(3,9)| / |PGL(3,3)|
+    assert all(subplane_result_from_points(pg9, frozenset(s), 3) is not None for s in orbit)

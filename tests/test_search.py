@@ -8,8 +8,10 @@ from planecode.antipodal import (
     PartialLinearSpace,
     validate_antipodal,
 )
+import numpy as np
+
 from planecode.field import field_new
-from planecode.geometry import baer_subfield_subplane, pg2
+from planecode.geometry import GeometryError, baer_subfield_subplane, collineation, pg2
 from planecode.search import (
     Embedding,
     NoQuadrangleError,
@@ -233,3 +235,63 @@ def test_mk_has_no_valid_transversal():
     from planecode.antipodal import is_good_triangle
 
     assert not any(is_good_triangle(ap, *t) for t in triangles)
+
+
+def test_slope_certificate_verifies_the_embedding_first():
+    plane = plane_of(4)
+    ap = validate_antipodal(AP3)
+    emb = embed_search(AP3, plane).embeddings[0]
+    reversed_points = Embedding(emb.point_map[::-1], emb.line_map)
+    with pytest.raises(SearchError, match="witness .'incidence'"):
+        slope_certificate(ap, plane, reversed_points)
+    with pytest.raises(SearchError, match="witness .'shape', 3"):
+        slope_certificate(ap, plane, Embedding(emb.point_map[:3], emb.line_map))
+    for bad in (plane.npoints, -1):  # -1 would alias the last line
+        line_map = (bad,) + emb.line_map[1:]
+        with pytest.raises(SearchError, match=f"witness .'line-range', {bad}"):
+            slope_certificate(ap, plane, Embedding(emb.point_map, line_map))
+        point_map = emb.point_map[:-1] + (bad,)
+        with pytest.raises(SearchError, match=f"witness .'point-range', {bad}"):
+            slope_certificate(ap, plane, Embedding(point_map, emb.line_map))
+
+
+def _moved(plane, emb, g):
+    """The embedding followed by the point permutation g of a collineation;
+    a line's image is the join of the images of two of its points."""
+    lines = tuple(int(plane.pair_line[g[plane.lines[l][0]], g[plane.lines[l][1]]])
+                  for l in emb.line_map)
+    return Embedding(tuple(int(g[v]) for v in emb.point_map), lines)
+
+
+@pytest.mark.parametrize("pls,q", [(MK, 9), (AP3, 4), (AP3, 16)])
+def test_collineations_move_a_frame_embedding_to_embeddings(pls, q):
+    plane = plane_of(q)
+    f = plane.field
+    emb = embed_search(pls, plane).embeddings[0]
+    rng = np.random.default_rng(q)
+    moved = 0
+    while moved < 5:
+        a = rng.integers(0, f.q, size=(3, 3))
+        try:
+            g = collineation(plane, a, int(rng.integers(f.h)))
+        except GeometryError:  # a singular draw
+            continue
+        image = _moved(plane, emb, g)
+        assert verify_embedding(pls, plane, image) == (True, None)
+        if pls is AP3:
+            assert slope_certificate(validate_antipodal(AP3), plane, image).holds
+        moved += 1
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_embed_search_needs_a_positive_cap(cap):
+    with pytest.raises(SearchError, match="cap"):
+        embed_search(MK, plane_of(3), cap=cap)
+
+
+@pytest.mark.parametrize("exclude", [{99999}, {-3}, {0, 13}])
+def test_embed_search_refuses_excluded_points_outside_the_plane(exclude):
+    with pytest.raises(SearchError, match="excluded"):
+        embed_search(MK, plane_of(3), exclude=frozenset(exclude))
+    with pytest.raises(SearchError, match="excluded"):
+        embed_search(MK, MK, exclude=frozenset(exclude))

@@ -102,3 +102,50 @@ def test_na_results_only_in_the_checklist_runner():
     assert _na_results_outside_the_runner(source) == ([], 1)
     branch = "def f(a):\n    if not a.in_band:\n        CheckResult('x', NA, 'why')\n"
     assert _na_results_outside_the_runner(source + branch)[0] != []
+
+
+_FIELD_TABLES = {"_mul_t", "_add_t", "_neg_t", "_inv_t"}
+_TABLE_READERS = {"_pg2_lines", "_point_indices", "collineation"}
+
+
+def _table_reads_outside_the_collineation_layer(source: str, name: str) -> list[str]:
+    """Reads of Field's private tables in a module, except in field.py and
+    in the three vectorised coordinate functions of geometry.py."""
+    tree = ast.parse(source)
+    allowed = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in _TABLE_READERS
+    ] if name == "geometry.py" else []
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _FIELD_TABLES
+        and name != "field.py" and not any(node.lineno in r for r in allowed)
+    ]
+
+
+def test_field_tables_only_in_the_collineation_layer():
+    # vectorised field arithmetic on coordinates has one home: pg2's line
+    # builder, the coordinate indexer and collineation; other modules call
+    # Field methods or those three
+    found = []
+    for path in sorted(Path(planecode.__file__).parent.glob("*.py")):
+        found += _table_reads_outside_the_collineation_layer(path.read_text(), path.name)
+    assert found == []
+    stray = "def slope(f, a, b):\n    return f._mul_t[a, b]\n"
+    assert _table_reads_outside_the_collineation_layer(stray, "geometry.py") == ["geometry.py:2"]
+
+
+def test_search_does_no_field_arithmetic_of_its_own():
+    # slope certificates move points by geometry.collineation
+    tree = ast.parse((Path(planecode.__file__).parent / "search.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "Field" not in imported
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_adjugate3", "_matvec"}
