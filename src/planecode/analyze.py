@@ -26,7 +26,7 @@ from .antipodal import (
     PartialLinearSpace,
     validate_antipodal,
 )
-from .codes import CodeWord, indicator, line_values, nonzero_line_sum, word_diff
+from .codes import CodeWord, indicator, is_dual_word, word_diff
 from .geometry import Plane, SubplaneResult, _restricted_lines, subplane_result_from_points
 from .field import is_prime
 
@@ -176,14 +176,12 @@ def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> Wo
     p = word.p
     if not is_prime(p):
         raise AnalyzeError(f"word symbol prime {p} is not prime")
-    on_lines = line_values(word, plane)  # the one gather: every line statistic reads it
-    witness = nonzero_line_sum(on_lines, p)
-    dual = witness is None
+    dual, witness = is_dual_word(word, plane)  # both read only the lines through the support
     if not dual and not override_non_dual:
         raise NotDualWordError(f"word is not in the dual code; witness line {witness}")
 
     support = word.support
-    line_counts = np.count_nonzero(on_lines, axis=1)
+    line_counts = plane.line_counts(support)
     point_counts = line_counts[plane.point_lines_arr[support]]
     x = (point_counts == 2).sum(axis=1)
 

@@ -98,7 +98,9 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     else:
         raise CodesError(f"p = {p} is too large for the int64 elimination kernel")
     mat = np.asarray(mat)
-    m = np.remainder(mat, p, out=np.empty(mat.shape, dtype=dtype))
+    # p as an int64 scalar: a uint8 matrix (the incidence matrix) is promoted
+    # element-wise into the working matrix, and a p above 255 cannot overflow
+    m = np.remainder(mat, np.int64(p), out=np.empty(mat.shape, dtype=dtype))
     rows, cols = m.shape
     bound = p - 1  # on the entries of the columns not yet eliminated
     pivots: list[int] = []
@@ -248,9 +250,10 @@ class LinearCode:
 
 
 def incidence_matrix(plane: Plane) -> np.ndarray:
-    """Line-by-point 0/1 incidence matrix."""
+    """Line-by-point 0/1 incidence matrix (uint8: rref_mod_p copies it into
+    its own working matrix)."""
     N = plane.npoints
-    a = np.zeros((N, N), dtype=np.int64)
+    a = np.zeros((N, N), dtype=np.uint8)
     rows = np.repeat(np.arange(N), plane.order + 1)
     a[rows, plane.lines_arr.ravel()] = 1
     return a
@@ -286,25 +289,26 @@ def dual_basis(code: LinearCode) -> LinearCode:
     return LinearCode(p, n, dual)
 
 
-def line_values(w: CodeWord, plane: Plane) -> np.ndarray:
-    """The values of w on each line: row l holds them at the points of line l."""
+def line_sums(w: CodeWord, plane: Plane) -> np.ndarray:
+    """For every line, the sum of w's values (representatives in [0,p)) on
+    it, as int64: added up over the lines through the support, so the cost
+    follows the weight of w, not the size of the plane."""
     if w.length != plane.npoints:
         raise LengthMismatchError(
             f"word length {w.length} does not match plane with {plane.npoints} points"
         )
-    return w.values[plane.lines_arr]
-
-
-def nonzero_line_sum(on_lines: np.ndarray, p: int) -> int | None:
-    """The first line whose values (a row of line_values) do not sum to 0 mod p."""
-    bad = np.flatnonzero(on_lines.sum(axis=1) % p)
-    return int(bad[0]) if bad.size else None
+    support = w.support
+    sums = np.zeros(plane.npoints, dtype=np.int64)
+    lines = plane.point_lines_arr[support].ravel()
+    np.add.at(sums, lines, np.repeat(w.values[support], plane.order + 1))
+    return sums
 
 
 def is_dual_word(w: CodeWord, plane: Plane) -> tuple[bool, int | None]:
-    """True iff every line's dot product with w vanishes; witness line on False."""
-    witness = nonzero_line_sum(line_values(w, plane), w.p)
-    return witness is None, witness
+    """True iff every line's dot product with w vanishes; on False, the
+    witness is the first line whose values do not sum to 0 mod p."""
+    bad = np.flatnonzero(line_sums(w, plane) % w.p)
+    return not bad.size, int(bad[0]) if bad.size else None
 
 
 def line_restriction_mu(w: CodeWord, plane: Plane, line: int) -> int:

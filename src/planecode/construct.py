@@ -172,12 +172,13 @@ def disjoint_baer_pair(
             f"Baer order {m} is not prime: every quadrangle of PG(2,{plane.order}) "
             f"closes to a PG(2,{plane.field.p}), so no closure is a Baer subplane"
         )
-    avoid = set(base.points)
+    avoid = frozenset(base.points)
     pool = [x for x in range(plane.npoints) if x not in avoid]
-    for nodes, cl in enumerate(_quadrangle_closures(plane, pool, m * m + m + 1), 1):
+    closures = _quadrangle_closures(plane, pool, m * m + m + 1, avoid)
+    for nodes, cl in enumerate(closures, 1):
         if nodes > budget:
             raise ConstructError("no disjoint Baer pair within budget")
-        if cl is None or cl & avoid:
+        if cl is None:  # escaped the cap, met the base subplane, or found earlier
             continue
         sub = subplane_result_from_points(plane, cl, m)
         if sub is not None:

@@ -97,12 +97,15 @@ class Plane:
         self.field = field
         self.coords = coords
         self.line_coords = line_coords
-        self.lines_arr, self.pair_line = _checked_lines(lines, order)
+        # the coordinates as an N x 3 array, for the vectorised collineations
+        self.coords_arr = None if coords is None else np.array(coords, dtype=np.int64)
+        self.lines_arr = _checked_lines(lines, order)
         self.lines = _int_rows(self.lines_arr, N)
         # a stable sort of the incidences by point keeps each point's lines ascending
         by_point = np.argsort(self.lines_arr.ravel(), kind="stable").astype(np.int32)
         self.point_lines_arr = (by_point // np.int32(order + 1)).reshape(N, order + 1)
         self.point_lines = _int_rows(self.point_lines_arr, N)
+        self._pair_line: np.ndarray | None = None
         self._pair_point: np.ndarray | None = None
 
     # -- queries ----------------------------------------------------------------
@@ -113,12 +116,18 @@ class Plane:
     def line_through(self, p: int, q: int) -> int:
         if p == q:
             raise SamePointError(f"line_through needs two distinct points, got {p}")
-        return int(self.pair_line[p, q])
+        return self.pair_line().item(p, q)  # a Python int, without a numpy scalar
 
     def meet(self, l1: int, l2: int) -> int:
         if l1 == l2:
             raise SameLineError(f"meet needs two distinct lines, got {l1}")
         return int(self.pair_point()[l1, l2])
+
+    def pair_line(self) -> np.ndarray:
+        """The join table (N x N, -1 on the diagonal), built on first use."""
+        if self._pair_line is None:
+            self._pair_line = _pair_table(self.lines_arr, self.npoints)
+        return self._pair_line
 
     def pair_point(self) -> np.ndarray:
         """The meet table (N x N, -1 on the diagonal), built on first use."""
@@ -137,27 +146,28 @@ class Plane:
         return int(_point_indices(self.field, *coord))
 
     def line_counts(self, points) -> np.ndarray:
-        """For every line l, |l & S| (int64), where S is the set of the points."""
+        """For every line l, |l & S| (int64), where S is the set of the points:
+        counted over the lines through the points of S, so the cost follows |S|."""
         idx = np.asarray(list(points) if isinstance(points, (set, frozenset)) else points)
         if idx.size and (idx.min() < 0 or idx.max() >= self.npoints):
             raise GeometryError(f"a point index is outside 0..{self.npoints - 1}")
-        mask = np.zeros(self.npoints, dtype=np.int64)
-        mask[idx.astype(np.int64)] = 1
-        return mask[self.lines_arr].sum(axis=1)
+        in_s = np.zeros(self.npoints, dtype=bool)  # a repeated point counts once
+        in_s[idx.astype(np.int64)] = True
+        return np.bincount(self.point_lines_arr[in_s].ravel(), minlength=self.npoints)
 
     def __repr__(self) -> str:
         return f"Plane(order={self.order}, source={self.source!r})"
 
 
-_CHUNK_CELLS = 1 << 17  # table cells per chunk when building or counting a pair table
+_CHUNK_CELLS = 1 << 17  # table cells per chunk when building a pair table
+_CHUNK_KEYS = 1 << 13  # pair keys per chunk of the coverage check: 64 KiB of int64
 
 
-def _checked_lines(lines, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lines (point rows) as an int32 array with sorted rows, and their
-    join table pair_line.  Raises unless they form a projective plane of
-    order n, for the first failing line: on its size or a repeated point, an
-    index out of range, or its first pair (a, b) an earlier line j holds
-    (witness (a, b, j, line))."""
+def _checked_lines(lines, n: int) -> np.ndarray:
+    """The lines (point rows) as an int32 array with sorted rows.  Raises
+    unless they form a projective plane of order n, for the first failing
+    line: on its size or a repeated point, an index out of range, or its
+    first pair (a, b) an earlier line j holds (witness (a, b, j, line))."""
     N = n * n + n + 1
     if n < 2:
         raise BadShapeError(f"plane order must be >= 2, got {n}")
@@ -167,19 +177,23 @@ def _checked_lines(lines, n: int) -> tuple[np.ndarray, np.ndarray]:
     arr = np.sort(np.array(lines[:stop], dtype=np.int32).reshape(stop, n + 1), axis=1)
     bad = (arr[:, 1:] == arr[:, :-1]).any(axis=1) | (arr[:, 0] < 0) | (arr[:, -1] >= N)
     stop = int(np.argmax(bad)) if bad.any() else stop
-    # N lines of n+1 distinct points hold N(n+1)n = N(N-1) ordered pairs, as many
-    # as pair_line has off-diagonal cells: all are covered iff no pair lies on two
-    # lines.  Then every point has degree n+1, and the N*C(n+1,2) = C(N,2) (line
-    # pair, common point) incidences make any two lines meet exactly once.
-    pair_line = _pair_table(arr[:stop], N)
-    step = max(1, _CHUNK_CELLS // N)  # count in row chunks, with no N x N mask
-    negative = sum(np.count_nonzero(pair_line[s : s + step] < 0) for s in range(0, N, step))
-    if stop == N and negative == N:
-        return arr, pair_line
-    # each pair a < b of the lines before stop as a*N + b, in line order;
-    # a key met earlier in that order is a pair an earlier line holds
+    # N lines of n+1 distinct points hold N*C(n+1,2) = C(N,2) pairs a < b, as
+    # many as there are: all are covered iff no pair lies on two lines.  Then
+    # every point has degree n+1, and the N*C(n+1,2) = C(N,2) (line pair,
+    # common point) incidences make any two lines meet exactly once.  The
+    # covered pairs are one byte each, in an anonymous map (see _pair_table),
+    # scattered in chunks whose key arrays stay below glibc's mmap threshold.
     a, b = np.triu_indices(n + 1, 1)
-    keys = (arr[:stop, a].astype(np.int64) * N + arr[:stop, b]).ravel()
+    good = arr[:stop]
+    covered = np.frombuffer(mmap.mmap(-1, N * N), dtype=np.bool_)
+    step = max(1, _CHUNK_KEYS // len(a))
+    for s in range(0, stop, step):
+        covered[_pair_keys(good[s : s + step], N, a, b)] = True
+    if stop == N and np.count_nonzero(covered) == N * (N - 1) // 2:
+        return arr
+    # each pair a < b of the lines before stop as a key, in line order; a key
+    # met earlier in that order is a pair an earlier line holds
+    keys = _pair_keys(good, N, a, b).ravel()
     order = np.argsort(keys, kind="stable")
     later = order[1:][keys[order[1:]] == keys[order[:-1]]]
     if later.size:
@@ -191,6 +205,14 @@ def _checked_lines(lines, n: int) -> tuple[np.ndarray, np.ndarray]:
     if len(l) != n + 1 or len(set(l)) != n + 1:
         raise AxiomViolationError("line size", (stop, l))
     raise BadShapeError(f"line {stop} has out-of-range point index")
+
+
+def _pair_keys(rows: np.ndarray, N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pairs (rows[:, a], rows[:, b]) of sorted rows as keys x*N + y (int64)."""
+    keys = rows[:, a].astype(np.int64)
+    keys *= N
+    keys += rows[:, b]
+    return keys
 
 
 def _pair_table(rows: np.ndarray, N: int) -> np.ndarray:
@@ -260,7 +282,7 @@ def collineation(plane: Plane, matrix, frob: int = 0) -> np.ndarray:
     """The point permutation g of x -> A x^(p^frob) on a generated PG(2,p^h):
     A is a nonsingular 3x3 matrix of field element codes, 0 <= frob < h, and
     g[i] is the index of the image of point i.  The image of a line is
-    plane.pair_line[g[a], g[b]] for any two distinct points a, b on it."""
+    plane.pair_line()[g[a], g[b]] for any two distinct points a, b on it."""
     if plane.source != "generated" or plane.field is None:
         raise NotGeneratedError("collineations need a generated plane")
     f = plane.field
@@ -270,8 +292,14 @@ def collineation(plane: Plane, matrix, frob: int = 0) -> np.ndarray:
         raise GeometryError(f"the matrix is not 3x3 over GF({f.q})")
     if not isinstance(frob, (int, np.integer)) or not 0 <= frob < f.h:
         raise GeometryError(f"frob must be in 0..{f.h - 1}, got {frob}")
-    power = np.array([f.pow(a, f.p**frob) for a in f.elements()])
-    x = power[np.array(plane.coords)].T
+    e = power = np.arange(f.q)
+    if frob:  # x -> x^p by p-1 products, then applied frob times
+        x_p = e
+        for _ in range(f.p - 1):
+            x_p = f._mul_t[x_p, e]
+        for _ in range(frob):
+            power = x_p[power]
+    x = power[plane.coords_arr].T
     terms = f._mul_t[A.astype(np.int64)[:, :, None], x[None]]  # terms[r, c] = A[r, c] * x_c
     y = f._add_t[f._add_t[terms[:, 0], terms[:, 1]], terms[:, 2]]
     if not y.any(axis=0).all():
@@ -327,13 +355,14 @@ def _closure(
     seed: tuple[int, int, int, int],
     cap: int,
     min_point: int,
+    avoid: frozenset,
 ) -> frozenset | None:
     """Close a quadrangle under join/meet (the lazy rows of the two pair
     tables, see _lazy_rows).
 
     Returns None if the closure escapes the size cap (cap points or cap
-    spanned lines) or produces a point below min_point (that closure is
-    reachable from an earlier seed).
+    spanned lines), produces a point below min_point (that closure is
+    reachable from an earlier seed) or a point of avoid.
     """
     pair_line, join_row = join
     pair_point, meet_row = meet
@@ -356,7 +385,7 @@ def _closure(
             for l2 in llist[i + 1:]:
                 x = row[l2]
                 if x not in pts and x not in new:
-                    if x < min_point:
+                    if x < min_point or x in avoid:
                         return None
                     new.add(x)
                     if len(pts) + len(new) > cap:
@@ -409,16 +438,17 @@ def _lazy_rows(table: np.ndarray) -> tuple[list, object]:
     return rows, build
 
 
-def _quadrangle_closures(plane: Plane, pool, cap: int):
+def _quadrangle_closures(plane: Plane, pool, cap: int, avoid: frozenset = frozenset()):
     """Close every quadrangle of a sorted point pool, in lexicographic order.
 
     Yields one closure per 4-subset of the pool with no three points
     collinear: the closed point set, or None when the closure escapes the
-    cap or reaches a point below the quadrangle's first point (such a
-    closure is reached from an earlier quadrangle).
+    cap, reaches a point of avoid, or reaches a point below the
+    quadrangle's first point (such a closure is reached from an earlier
+    quadrangle).
     """
     # row tuples for the pure-Python loops, alive only while this generator is
-    join, meet = _lazy_rows(plane.pair_line), _lazy_rows(plane.pair_point())
+    join, meet = _lazy_rows(plane.pair_line()), _lazy_rows(plane.pair_point())
     T, join_row = join
     n = len(pool)
     for i in range(n):
@@ -436,7 +466,7 @@ def _quadrangle_closures(plane: Plane, pool, cap: int):
                 for d in pool[k + 1:]:
                     if Ta[d] == lab or Ta[d] == lac or Tb[d] == lbc:
                         continue
-                    yield _closure(join, meet, (a, b, c, d), cap, a)
+                    yield _closure(join, meet, (a, b, c, d), cap, a, avoid)
 
 
 def subplane_search(

@@ -24,6 +24,7 @@ from planecode.codes import (
     code_of_plane,
     dual_basis,
     is_dual_word,
+    line_sums,
 )
 from planecode.construct import baer_diff, line_diff
 from planecode.field import field_new
@@ -619,3 +620,52 @@ def test_one_line_gather_gives_the_verdict_and_the_line_counts(pg9):
     for length in (90, 92):
         with pytest.raises(LengthMismatchError):
             analyze(CodeWord(3, np.zeros(length, dtype=np.int64)), pg9, override_non_dual=True)
+
+
+def reference_line_values(w, plane):
+    """The full gather the line statistics once read: row l holds w on line l."""
+    return w.values[plane.lines_arr]
+
+
+def _words_for_line_statistics(plane, p, rng):
+    """Sparse dual words (Baer-diff, line-diff), a dense dual word (a random
+    combination of line differences), sparse and dense non-dual words, and
+    the zero word."""
+    N = plane.npoints
+    words = [line_diff(plane, 0, 1), line_diff(plane, N - 1, 3)]
+    words.append(baer_diff(plane, baer_subfield_subplane(plane)))
+    dense = np.zeros(N, dtype=np.int64)
+    for _ in range(3 * plane.order):
+        a, b = rng.choice(N, 2, replace=False)
+        dense += int(rng.integers(1, p)) * line_diff(plane, int(a), int(b), raw=True).values
+    words.append(CodeWord(p, dense))
+    for d in (0.02, 0.5, 1):
+        v = rng.integers(0, p, size=N) * (rng.random(N) < d)
+        v[rng.integers(N)] = 1  # never the zero word
+        words.append(CodeWord(p, v))
+    words.append(CodeWord(p, np.zeros(N, dtype=np.int64)))
+    return words
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_line_statistics_from_the_support_match_the_full_gather(p):
+    plane = pg2(field_new(p, 2))
+    rng = np.random.default_rng(p)
+    verdicts = []
+    for w in _words_for_line_statistics(plane, p, rng):
+        on_lines = reference_line_values(w, plane)
+        bad = np.flatnonzero(on_lines.sum(axis=1) % p)
+        want = (not bad.size, int(bad[0]) if bad.size else None)
+        sums = line_sums(w, plane)
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, on_lines.sum(axis=1))
+        assert is_dual_word(w, plane) == want
+        a = analyze(w, plane, override_non_dual=True)
+        assert (a.dual, a.witness) == want
+        assert a.line_counts.dtype == np.int64
+        assert np.array_equal(a.line_counts, np.count_nonzero(on_lines, axis=1))
+        verdicts.append(want[0])
+    assert verdicts[:4] == [True] * 4 and verdicts[-1]
+    assert not any(verdicts[4:7])  # the random words are not dual
+    with pytest.raises(LengthMismatchError):
+        line_sums(CodeWord(p, np.ones(plane.npoints + 1, dtype=np.int64)), plane)

@@ -391,3 +391,13 @@ def test_incidence_matrix_rows_are_lines(planes):
     a = incidence_matrix(plane)
     for i, l in enumerate(plane.lines):
         assert np.flatnonzero(a[i]).tolist() == list(l)
+
+
+@pytest.mark.parametrize("q,p", [(4, 2), (9, 3), (4, 257)])
+def test_uint8_incidence_matrix_gives_the_int64_rref(planes, q, p):
+    a = incidence_matrix(planes[q])
+    assert a.dtype == np.uint8
+    rref, pivots = rref_mod_p(a, p)  # p = 257 does not fit in uint8
+    want, want_pivots = rref_mod_p(a.astype(np.int64), p)
+    assert rref.dtype == want.dtype == np.int64
+    assert pivots == want_pivots and rref.tobytes() == want.tobytes()

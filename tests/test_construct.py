@@ -19,7 +19,12 @@ from planecode.construct import (
     subplane_diff,
 )
 from planecode.field import field_new
-from planecode.geometry import baer_subfield_subplane, pg2
+from planecode.geometry import (
+    _quadrangle_closures,
+    baer_subfield_subplane,
+    pg2,
+    subplane_result_from_points,
+)
 from planecode.search import Embedding, embed_search
 
 
@@ -134,6 +139,29 @@ def test_subplane_diff_disjoint_baer_pair(pg9):
 def test_disjoint_baer_pair_budget(pg9):
     with pytest.raises(ConstructError, match="within budget"):
         disjoint_baer_pair(pg9, budget=1)
+
+
+def reference_disjoint_baer_pair(plane):
+    """The first Baer subplane disjoint from the subfield one, closing each
+    quadrangle in full and then discarding closures that meet it; with the
+    number of quadrangles closed."""
+    base = baer_subfield_subplane(plane)
+    m, avoid = base.order, set(base.points)
+    pool = [x for x in range(plane.npoints) if x not in avoid]
+    for nodes, cl in enumerate(_quadrangle_closures(plane, pool, m * m + m + 1), 1):
+        if cl is None or cl & avoid:
+            continue
+        sub = subplane_result_from_points(plane, cl, m)
+        if sub is not None:
+            return (base, sub), nodes
+
+
+def test_avoid_aware_closures_find_the_same_pair_at_the_same_node(pg9):
+    plane = pg9
+    pair, nodes = reference_disjoint_baer_pair(plane)
+    assert disjoint_baer_pair(plane, budget=nodes) == pair
+    with pytest.raises(ConstructError, match="within budget"):
+        disjoint_baer_pair(plane, budget=nodes - 1)
 
 
 def test_disjoint_baer_pair_refuses_non_prime_order():

@@ -1,9 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from planecode import geometry
+from planecode.analyze import analyze, extract_baer
+from planecode.construct import baer_diff
 from planecode.field import FieldError, field_new
+from planecode.formats import plane_from_text, plane_to_text
 from planecode.geometry import (
     AxiomViolationError,
     BadShapeError,
@@ -402,7 +410,7 @@ def test_pg2_matches_reference(q):
     assert plane.point_lines == point_lines
     assert plane.point_lines_arr.dtype == np.int32
     assert np.array_equal(plane.point_lines_arr, np.array(point_lines))
-    assert np.array_equal(plane.pair_line, reference_validate(lines, q))
+    assert np.array_equal(plane.pair_line(), reference_validate(lines, q))
     assert np.array_equal(plane.pair_point(), reference_pair_point(point_lines, N))
     assert [plane.point_index(c) for c in coords] == list(range(N))
 
@@ -564,6 +572,62 @@ def _candidate_sets(plane, m, found, rng):
     return sets
 
 
+@pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (3, 2), (5, 1)])
+def test_ingested_join_table_matches_reference(p, h):
+    plane = pg2(field_new(p, h))
+    rng = random.Random(p * h)
+    perm = list(range(plane.npoints))
+    rng.shuffle(perm)
+    rows = [[perm[x] for x in plane.lines[i]] for i in perm]
+    ingested = plane_from_incidence(rows, plane.order)
+    assert ingested._pair_line is None  # built on first read
+    assert np.array_equal(ingested.pair_line(), reference_validate(rows, plane.order))
+    assert ingested.pair_line() is ingested.pair_line()
+    assert ingested.coords_arr is None
+
+
+def test_the_word_path_builds_no_join_table(monkeypatch):
+    built = []
+
+    def recording(rows, N):
+        built.append(N)
+        return real(rows, N)
+
+    real = geometry._pair_table
+    monkeypatch.setattr(geometry, "_pair_table", recording)
+    plane = pg2(field_new(7, 2))
+    ingested = plane_from_text(plane_to_text(plane))
+    for target in (plane, ingested):
+        sub = baer_subfield_subplane(plane)
+        for secant in sub.lines[:3]:
+            w = baer_diff(target, sub, secant=secant)
+            assert analyze(w, target).classification == "baer"
+            assert extract_baer(w, target) == (sub, secant)
+        assert target._pair_line is None and target._pair_point is None
+    assert built == []
+    assert plane.line_through(0, 1) == next(i for i, l in enumerate(plane.lines) if {0, 1} <= set(l))
+    assert built == [plane.npoints]
+
+
+def test_pg2_of_order_121_stays_under_500_mb():
+    # the pair-coverage bitmap (one byte per cell) is the largest allocation;
+    # an int32 join table alone would be 872 MB
+    code = (
+        "import resource\n"
+        "from planecode.field import field_new\n"
+        "from planecode.geometry import pg2\n"
+        "plane = pg2(field_new(11, 2))\n"
+        "print(plane.npoints, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    npoints, peak_kb = map(int, out.stdout.split())
+    assert npoints == 121 * 121 + 121 + 1
+    assert peak_kb < 500 * 1024
+
+
 @pytest.mark.parametrize(
     "q,m,limit,budget",
     [(4, 2, 1000, 10**6), (9, 2, 10, 3000), (9, 3, 60, 10**6), (16, 2, 30, 10**6), (25, 2, 10, 3000)],
@@ -671,7 +735,7 @@ def test_point_index_needs_a_generated_plane():
 
 
 def test_pair_rows_share_int_objects(pg9):
-    for table in (pg9.pair_line, pg9.pair_point()):
+    for table in (pg9.pair_line(), pg9.pair_point()):
         rows = _int_rows(table, pg9.npoints)
         assert rows == tuple(tuple(r) for r in table.tolist())
         assert all(rows[i][i] == -1 for i in range(pg9.npoints))
@@ -683,7 +747,7 @@ def test_pair_rows_share_int_objects(pg9):
 
 
 def test_lazy_rows_build_each_row_on_first_read(pg9):
-    for table in (pg9.pair_line, pg9.pair_point()):
+    for table in (pg9.pair_line(), pg9.pair_point()):
         rows, build = _lazy_rows(table)
         assert build(5) == tuple(table[5].tolist()) and rows[5][5] == -1
         assert [i for i, r in enumerate(rows) if r is not None] == [5]
@@ -752,7 +816,7 @@ def test_collineation_maps_lines_onto_lines(q):
         assert np.array_equal(np.sort(g), np.arange(N))
         # a line's image: the join of the images of two of its points
         img = g[plane.lines_arr]
-        line_image = plane.pair_line[img[:, 0], img[:, 1]]
+        line_image = plane.pair_line()[img[:, 0], img[:, 1]]
         assert np.array_equal(np.sort(line_image), np.arange(N))
         assert np.array_equal(np.sort(img, axis=1), plane.lines_arr[line_image])
 
@@ -779,6 +843,16 @@ def test_frobenius_has_order_h(q):
     for k in range(1, plane.field.h + 1):
         perm = g[perm]
         assert np.array_equal(perm, np.arange(plane.npoints)) == (k == plane.field.h)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_frobenius_images_match_field_powers(q):
+    plane = pg2(field_new(*ORACLE_FIELDS[q]))
+    f = plane.field
+    assert np.array_equal(plane.coords_arr, np.array(plane.coords))
+    for frob in range(f.h):
+        want = [plane.point_index(tuple(f.pow(x, f.p**frob) for x in c)) for c in plane.coords]
+        assert collineation(plane, np.eye(3, dtype=np.int64), frob).tolist() == want
 
 
 def test_collineation_rejections(pg9):

@@ -258,7 +258,7 @@ def test_slope_certificate_verifies_the_embedding_first():
 def _moved(plane, emb, g):
     """The embedding followed by the point permutation g of a collineation;
     a line's image is the join of the images of two of its points."""
-    lines = tuple(int(plane.pair_line[g[plane.lines[l][0]], g[plane.lines[l][1]]])
+    lines = tuple(int(plane.pair_line()[g[plane.lines[l][0]], g[plane.lines[l][1]]])
                   for l in emb.line_map)
     return Embedding(tuple(int(g[v]) for v in emb.point_map), lines)
 

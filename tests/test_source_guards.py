@@ -149,3 +149,47 @@ def test_search_does_no_field_arithmetic_of_its_own():
     assert "Field" not in imported
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert not names & {"_adjugate3", "_matvec"}
+
+
+def _whole_line_gathers(source: str, name: str) -> list[str]:
+    """Subscripts indexed by a whole lines_arr (every line's points at once):
+    line statistics are read over the lines through a support instead.  A
+    single row, lines_arr[l], or a selection of rows is allowed."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and "lines_arr" in (getattr(node.slice, "attr", None), getattr(node.slice, "id", None))
+    ]
+
+
+def _pair_table_calls(source: str, name: str) -> list[str]:
+    """Calls of geometry._pair_table outside Plane.pair_line and Plane.pair_point."""
+    tree = ast.parse(source)
+    allowed = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("pair_line", "pair_point")
+    ] if name == "geometry.py" else []
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "_pair_table" in _identifiers(node.func)
+        and not any(node.lineno in r for r in allowed)
+    ]
+
+
+def test_no_whole_plane_line_gathers_and_no_eager_join_tables():
+    # a word's line sums and a point set's line counts cost what its support
+    # reads; the N x N join and meet tables are built on their first read only
+    found = []
+    for path in sorted(Path(planecode.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        found += _whole_line_gathers(source, path.name) + _pair_table_calls(source, path.name)
+    assert found == []
+    gather = "def line_values(w, plane):\n    return w.values[plane.lines_arr]\n"
+    assert _whole_line_gathers(gather, "codes.py") == ["codes.py:2"]
+    row = "def mu(w, plane, l):\n    return w.values[plane.lines_arr[l]].sum()\n"
+    assert _whole_line_gathers(row, "codes.py") == []
+    eager = "def _checked_lines(lines, n):\n    return _pair_table(lines, n)\n"
+    assert _pair_table_calls(eager, "geometry.py") == ["geometry.py:2"]
