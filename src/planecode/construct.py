@@ -15,14 +15,7 @@ from __future__ import annotations
 from .antipodal import PartialLinearSpace
 from .codes import CodeWord, indicator, is_dual_word, word_diff
 from .field import prime_of_power
-from .geometry import (
-    Plane,
-    SameLineError,
-    SubplaneResult,
-    _quadrangle_closures,
-    baer_subfield_subplane,
-    subplane_result_from_points,
-)
+from .geometry import Plane, SameLineError, SubplaneResult, baer_partition
 from .search import Embedding, verify_embedding
 
 
@@ -156,31 +149,8 @@ def antipodal_diff(
     return _scaled(w, plane, raw), dual
 
 
-def disjoint_baer_pair(
-    plane: Plane, budget: int = 10**7
-) -> tuple[SubplaneResult, SubplaneResult]:
-    """A pair of disjoint Baer subplanes, found by closing quadrangles that
-    avoid the subfield Baer subplane.
-
-    Only PG(2,p^2) qualifies: in PG(2,p^h) every quadrangle closes to a
-    PG(2,p), so a Baer order m = p^(h/2) that is not prime is never reached.
-    """
-    base = baer_subfield_subplane(plane)
-    m = base.order
-    if m != plane.field.p:
-        raise ConstructError(
-            f"Baer order {m} is not prime: every quadrangle of PG(2,{plane.order}) "
-            f"closes to a PG(2,{plane.field.p}), so no closure is a Baer subplane"
-        )
-    avoid = frozenset(base.points)
-    pool = [x for x in range(plane.npoints) if x not in avoid]
-    closures = _quadrangle_closures(plane, pool, m * m + m + 1, avoid)
-    for nodes, cl in enumerate(closures, 1):
-        if nodes > budget:
-            raise ConstructError("no disjoint Baer pair within budget")
-        if cl is None:  # escaped the cap, met the base subplane, or found earlier
-            continue
-        sub = subplane_result_from_points(plane, cl, m)
-        if sub is not None:
-            return base, sub
-    raise ConstructError("no disjoint Baer subplane pair found")
+def disjoint_baer_pair(plane: Plane) -> tuple[SubplaneResult, SubplaneResult]:
+    """Two disjoint Baer subplanes of a generated PG(2,m^2): the first two
+    members of geometry.baer_partition, which validates every member."""
+    first, second = baer_partition(plane)[:2]
+    return first, second

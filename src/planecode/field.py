@@ -176,30 +176,46 @@ class Field:
         p, h, q = self.p, self.h, self.q
         powers = p ** np.arange(h, dtype=np.int64)
         coeffs = (np.arange(q, dtype=np.int64)[:, None] // powers[None, :]) % p
-        add = np.zeros((q, q), dtype=np.int32)
-        for i in range(h):  # one base-p digit at a time: no q x q x h temporary
-            digit = coeffs[:, i].astype(np.int32)
-            t = np.add.outer(digit, digit)
-            t %= p
-            t *= p**i
-            add += t
+        digit_sum = np.add.outer(np.arange(p, dtype=np.int32), np.arange(p, dtype=np.int32)) % p
+        add = np.zeros((1, 1), dtype=np.int32)
+        for i in range(h):
+            # codes a = X*p^i + x over i+1 digits: a p x p grid of blocks, block
+            # (X, Y) the table over i digits plus ((X+Y) mod p)*p^i; no temporary
+            # beyond the table itself
+            n = len(add)
+            add = (digit_sum[:, None, :, None] * p**i + add[None, :, None, :]).reshape(p * n, p * n)
         self._add_t = add
         self._neg_t = (((-coeffs) % p) @ powers).astype(np.int32)
-        mul = np.empty((q, q), dtype=np.int32)
-        for b in range(q):
-            # multiplication by b is GF(p)-linear: columns are x^i * b reduced
-            mat = np.empty((h, h), dtype=np.int64)
-            col = self.coeffs(b)
-            for i in range(h):
-                mat[i] = col
-                if i + 1 < h:
-                    col = tuple(_poly_mod([0] + list(col), self.modulus, p))
-            mul[:, b] = (((coeffs @ mat) % p) @ powers).astype(np.int32)
-        self._mul_t = mul
+        # the powers g^k of a primitive element (antilog) and their exponents
+        # (log) give every product as one gather: a*b = g^(log a + log b)
+        for g in range(1, q):
+            times_g = (((coeffs @ self._times_matrix(g)) % p) @ powers).tolist()
+            antilog = [1]
+            x = times_g[1]
+            while x != 1:
+                antilog.append(x)
+                x = times_g[x]
+            if len(antilog) == q - 1:  # g has order q-1
+                break
+        log = np.empty(q, dtype=np.int32)
+        log[antilog] = np.arange(q - 1, dtype=np.int32)
+        log[0] = 2 * (q - 1)  # a product with 0 lands in the zero tail of exp
+        exp = np.zeros(4 * q - 3, dtype=np.int32)
+        exp[: 2 * (q - 1)] = antilog * 2  # twice, so the sum of two logs needs no mod
+        self._mul_t = exp[np.add.outer(log, log)]
         inv = np.full(q, -1, dtype=np.int32)
-        rows, cols = np.nonzero(mul == 1)
-        inv[rows] = cols
+        inv[1:] = exp[(q - 1) - log[1:]]
         self._inv_t = inv
+
+    def _times_matrix(self, b: int) -> np.ndarray:
+        """Multiplication by b as a GF(p)-linear map: row i holds x^i * b."""
+        mat = np.empty((self.h, self.h), dtype=np.int64)
+        row = self.coeffs(b)
+        for i in range(self.h):
+            mat[i] = row
+            if i + 1 < self.h:
+                row = tuple(_poly_mod([0] + list(row), self.modulus, self.p))
+        return mat
 
     # -- element views ---------------------------------------------------------
 

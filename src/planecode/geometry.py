@@ -1,4 +1,5 @@
-"""Projective planes: generation of PG(2,q), ingestion, subplanes, slopes.
+"""Projective planes: generation of PG(2,q), ingestion, collineations,
+Singer cycles, subplanes, slopes.
 
 A plane of order n is stored as indexed point and line sets (both of size
 n^2+n+1) with lines as sorted tuples of point indices.  Generated planes
@@ -13,6 +14,7 @@ identical.  Ingested planes keep file order.
 
 from __future__ import annotations
 
+import itertools
 import mmap
 from dataclasses import dataclass
 
@@ -339,6 +341,55 @@ def baer_subfield_subplane(plane: Plane) -> SubplaneResult:
     return res
 
 
+def singer_cycle(plane: Plane) -> np.ndarray:
+    """A collineation of a generated PG(2,q) that permutes the N points in one
+    cycle (a Singer cycle): the first companion matrix, as a collineation,
+    of a monic cubic x^3 + c2 x^2 + c1 x + c0 over GF(q) (c0 != 0, the
+    triples (c2, c1, c0) in lexicographic order) whose cycle through point 0
+    has length N.  The cubics that qualify are the primitive ones (Singer
+    1938); walking the cycle is the certificate."""
+    if plane.source != "generated" or plane.field is None:
+        raise NotGeneratedError("singer_cycle needs a generated plane")
+    f, N = plane.field, plane.npoints
+    for c2, c1, c0 in itertools.product(range(f.q), range(f.q), range(1, f.q)):
+        companion = [[0, 0, f.neg(c0)], [1, 0, f.neg(c1)], [0, 1, f.neg(c2)]]
+        g = collineation(plane, companion)
+        if len(_cycle(g.tolist(), 0)) == N:
+            return g
+    raise GeometryError(f"no monic cubic over GF({f.q}) gives a Singer cycle")
+
+
+def _cycle(perm: list[int], start: int) -> list[int]:
+    """The cycle of a permutation through start: start, perm[start], ..."""
+    walk = [start]
+    x = perm[start]
+    while x != start:
+        walk.append(x)
+        x = perm[x]
+    return walk
+
+
+def baer_partition(plane: Plane) -> list[SubplaneResult]:
+    """The orbits of s^(m^2-m+1) on PG(2,m^2), s = singer_cycle(plane): the
+    m^2-m+1 pairwise disjoint Baer subplanes that partition the points
+    (Bruck 1960), each validated, listed in order of their least point."""
+    if plane.source != "generated" or plane.field is None:
+        raise NotGeneratedError("baer_partition needs a generated plane")
+    f = plane.field
+    if f.h % 2 != 0:
+        raise NotSquareOrderError(f"order {plane.order} is not a square of a subfield order")
+    m = f.p ** (f.h // 2)
+    walk = _cycle(singer_cycle(plane).tolist(), 0)  # walk[k] is s^k(0), all N points
+    step = m * m - m + 1
+    members = []
+    for j in range(step):  # the orbit of walk[j] is walk[j], walk[j + step], ...
+        res = subplane_result_from_points(plane, frozenset(walk[j::step]), m)
+        if res is None:
+            raise GeometryError(f"the orbit of point {walk[j]} under s^{step} is not a Baer subplane")
+        members.append(res)
+    return sorted(members, key=lambda sub: sub.points[0])
+
+
 def check_subplane(plane: Plane, sub: SubplaneResult) -> None:
     """Raise unless the restricted incidence is a projective plane of order m
     whose lines, in any order, are the listed ones."""
@@ -350,19 +401,14 @@ def check_subplane(plane: Plane, sub: SubplaneResult) -> None:
 
 
 def _closure(
-    join: tuple,
-    meet: tuple,
-    seed: tuple[int, int, int, int],
-    cap: int,
-    min_point: int,
-    avoid: frozenset,
+    join: tuple, meet: tuple, seed: tuple[int, int, int, int], cap: int, min_point: int
 ) -> frozenset | None:
     """Close a quadrangle under join/meet (the lazy rows of the two pair
     tables, see _lazy_rows).
 
     Returns None if the closure escapes the size cap (cap points or cap
-    spanned lines), produces a point below min_point (that closure is
-    reachable from an earlier seed) or a point of avoid.
+    spanned lines) or produces a point below min_point (that closure is
+    reachable from an earlier seed).
     """
     pair_line, join_row = join
     pair_point, meet_row = meet
@@ -385,7 +431,7 @@ def _closure(
             for l2 in llist[i + 1:]:
                 x = row[l2]
                 if x not in pts and x not in new:
-                    if x < min_point or x in avoid:
+                    if x < min_point:
                         return None
                     new.add(x)
                     if len(pts) + len(new) > cap:
@@ -438,14 +484,13 @@ def _lazy_rows(table: np.ndarray) -> tuple[list, object]:
     return rows, build
 
 
-def _quadrangle_closures(plane: Plane, pool, cap: int, avoid: frozenset = frozenset()):
+def _quadrangle_closures(plane: Plane, pool, cap: int):
     """Close every quadrangle of a sorted point pool, in lexicographic order.
 
     Yields one closure per 4-subset of the pool with no three points
     collinear: the closed point set, or None when the closure escapes the
-    cap, reaches a point of avoid, or reaches a point below the
-    quadrangle's first point (such a closure is reached from an earlier
-    quadrangle).
+    cap or reaches a point below the quadrangle's first point (such a
+    closure is reached from an earlier quadrangle).
     """
     # row tuples for the pure-Python loops, alive only while this generator is
     join, meet = _lazy_rows(plane.pair_line()), _lazy_rows(plane.pair_point())
@@ -466,7 +511,7 @@ def _quadrangle_closures(plane: Plane, pool, cap: int, avoid: frozenset = frozen
                 for d in pool[k + 1:]:
                     if Ta[d] == lab or Ta[d] == lac or Tb[d] == lbc:
                         continue
-                    yield _closure(join, meet, (a, b, c, d), cap, a, avoid)
+                    yield _closure(join, meet, (a, b, c, d), cap, a)
 
 
 def subplane_search(

@@ -19,11 +19,14 @@ from planecode.construct import (
     subplane_diff,
 )
 from planecode.field import field_new
+from planecode.formats import plane_from_text, plane_to_text
 from planecode.geometry import (
-    _quadrangle_closures,
+    NotGeneratedError,
+    NotSquareOrderError,
+    baer_partition,
     baer_subfield_subplane,
+    check_subplane,
     pg2,
-    subplane_result_from_points,
 )
 from planecode.search import Embedding, embed_search
 
@@ -126,8 +129,9 @@ def test_baer_diff_secant_choice_and_error(pg9):
 
 def test_subplane_diff_disjoint_baer_pair(pg9):
     s1, s2 = disjoint_baer_pair(pg9)
-    assert s1 == baer_subfield_subplane(pg9)
-    assert s2.points == (4, 13, 22, 32, 39, 54, 58, 70, 73, 83, 85, 87, 89)
+    assert (s1, s2) == tuple(baer_partition(pg9)[:2])
+    assert s1.points == (0, 22, 23, 24, 37, 42, 44, 56, 60, 61, 75, 78, 81)
+    assert s2.points == (1, 3, 5, 8, 17, 21, 31, 39, 49, 62, 67, 80, 84)
     assert not set(s1.points) & set(s2.points)
     w, dual = subplane_diff(pg9, s1, s2)
     assert w.weight == 26
@@ -136,40 +140,32 @@ def test_subplane_diff_disjoint_baer_pair(pg9):
     assert dual
 
 
-def test_disjoint_baer_pair_budget(pg9):
-    with pytest.raises(ConstructError, match="within budget"):
-        disjoint_baer_pair(pg9, budget=1)
+@pytest.mark.parametrize("p,h,weight", [(2, 2, 14), (2, 4, 42)])
+def test_disjoint_baer_pair_at_non_prime_baer_order(p, h, weight):
+    # PG(2,4) and PG(2,16) (Baer order 2 and 4): the Singer partition has
+    # members at every square order, prime Baer order or not
+    plane = pg2(field_new(p, h))
+    s1, s2 = disjoint_baer_pair(plane)
+    assert not set(s1.points) & set(s2.points)
+    w, dual = subplane_diff(plane, s1, s2)
+    assert dual and w.weight == weight == 2 * (s1.order**2 + s1.order + 1)
 
 
-def reference_disjoint_baer_pair(plane):
-    """The first Baer subplane disjoint from the subfield one, closing each
-    quadrangle in full and then discarding closures that meet it; with the
-    number of quadrangles closed."""
-    base = baer_subfield_subplane(plane)
-    m, avoid = base.order, set(base.points)
-    pool = [x for x in range(plane.npoints) if x not in avoid]
-    for nodes, cl in enumerate(_quadrangle_closures(plane, pool, m * m + m + 1), 1):
-        if cl is None or cl & avoid:
-            continue
-        sub = subplane_result_from_points(plane, cl, m)
-        if sub is not None:
-            return (base, sub), nodes
-
-
-def test_avoid_aware_closures_find_the_same_pair_at_the_same_node(pg9):
-    plane = pg9
-    pair, nodes = reference_disjoint_baer_pair(plane)
-    assert disjoint_baer_pair(plane, budget=nodes) == pair
-    with pytest.raises(ConstructError, match="within budget"):
-        disjoint_baer_pair(plane, budget=nodes - 1)
-
-
-def test_disjoint_baer_pair_refuses_non_prime_order():
-    plane = pg2(field_new(2, 4))
+def test_disjoint_baer_pair_pg25_is_fast(pg25):
     t0 = time.perf_counter()
-    with pytest.raises(ConstructError, match="Baer order 4 is not prime"):
-        disjoint_baer_pair(plane)
-    assert time.perf_counter() - t0 < 0.1
+    s1, s2 = disjoint_baer_pair(pg25)
+    assert time.perf_counter() - t0 < 1.0
+    for sub in (s1, s2):
+        check_subplane(pg25, sub)
+    assert not set(s1.points) & set(s2.points)
+
+
+def test_disjoint_baer_pair_refusals(pg9):
+    with pytest.raises(NotGeneratedError):
+        disjoint_baer_pair(plane_from_text(plane_to_text(pg9)))
+    for p, h in ((5, 1), (2, 3), (3, 3)):
+        with pytest.raises(NotSquareOrderError):
+            disjoint_baer_pair(pg2(field_new(p, h)))
 
 
 def test_subplane_diff_rejects_overlap(pg9):

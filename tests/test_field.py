@@ -9,6 +9,7 @@ import pytest
 from planecode import cli
 
 from planecode.field import (
+    _poly_mod,
     DivisionByZeroError,
     Field,
     NotPrimeError,
@@ -217,3 +218,51 @@ def test_table_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def reference_mul_inv_tables(f):
+    """The multiplication and inverse tables as first built: one column per
+    element b, from the GF(p)-linear map of multiplication by b."""
+    p, h, q = f.p, f.h, f.q
+    powers = p ** np.arange(h, dtype=np.int64)
+    coeffs = (np.arange(q, dtype=np.int64)[:, None] // powers[None, :]) % p
+    mul = np.empty((q, q), dtype=np.int32)
+    for b in range(q):
+        mat = np.empty((h, h), dtype=np.int64)
+        col = f.coeffs(b)
+        for i in range(h):
+            mat[i] = col
+            if i + 1 < h:
+                col = tuple(_poly_mod([0] + list(col), f.modulus, p))
+        mul[:, b] = (((coeffs @ mat) % p) @ powers).astype(np.int32)
+    inv = np.full(q, -1, dtype=np.int32)
+    rows, cols = np.nonzero(mul == 1)
+    inv[rows] = cols
+    return mul, inv
+
+
+@pytest.mark.parametrize(
+    "p,h", [(2, h) for h in range(1, 9)] + [(3, h) for h in range(1, 5)] + [(5, 2), (7, 2), (2, 10)]
+)
+def test_log_antilog_tables_match_the_column_construction(p, h):
+    f = field_new(p, h)
+    mul, inv = reference_mul_inv_tables(f)
+    for got, want in ((f._mul_t, mul), (f._inv_t, inv)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_log_antilog_tables_with_a_given_modulus():
+    # x is not primitive modulo x^4+x^3+x^2+x+1 (it has order 5), so the
+    # primitive element is found by the scan, not assumed to be x
+    f = field_new(2, 4, modulus=(1, 1, 1, 1, 1))
+    mul, inv = reference_mul_inv_tables(f)
+    assert f._mul_t.tobytes() == mul.tobytes() and f._inv_t.tobytes() == inv.tobytes()
+
+
+def test_largest_tabled_field_builds_in_under_a_second():
+    t0 = time.perf_counter()
+    f = field_new(2, 12)
+    assert time.perf_counter() - t0 < 1.0
+    a, b = 1234, 4000
+    assert f.mul(f.mul(a, b), f.inv(b)) == a and f.mul(a, f.inv(a)) == 1

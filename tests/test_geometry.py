@@ -27,6 +27,7 @@ from planecode.geometry import (
     _lazy_rows,
     _quadrangle_closures,
     _restricted_lines,
+    baer_partition,
     baer_subfield_subplane,
     ceva_product,
     check_subplane,
@@ -35,6 +36,7 @@ from planecode.geometry import (
     menelaos_product,
     pg2,
     plane_from_incidence,
+    singer_cycle,
     slope,
     subplane_result_from_points,
     subplane_search,
@@ -896,3 +898,57 @@ def test_baer_orbit_under_two_random_collineations(pg9):
                 frontier.append(image)
     assert len(orbit) == 7560  # |PGL(3,9)| / |PGL(3,3)|
     assert all(subplane_result_from_points(pg9, frozenset(s), 3) is not None for s in orbit)
+
+
+# the first monic cubic x^3 + c2 x^2 + c1 x + c0, by (c2, c1, c0), whose
+# companion matrix is a Singer cycle (found by the scan; pinned here)
+SINGER_CUBICS = {4: (1, 1, 2), 9: (0, 1, 4), 16: (0, 1, 9), 25: (0, 1, 6), 49: (0, 1, 15), 64: (0, 1, 6)}
+SQUARE_FIELDS = {4: (2, 2), 9: (3, 2), 16: (2, 4), 25: (5, 2), 49: (7, 2), 64: (2, 6)}
+
+
+@pytest.mark.parametrize("q", sorted(SINGER_CUBICS))
+def test_singer_cycle_is_one_n_cycle_that_maps_lines_onto_lines(q):
+    plane = pg2(field_new(*SQUARE_FIELDS[q]))
+    f, N = plane.field, plane.npoints
+    g = singer_cycle(plane)
+    c2, c1, c0 = SINGER_CUBICS[q]
+    companion = [[0, 0, f.neg(c0)], [1, 0, f.neg(c1)], [0, 1, f.neg(c2)]]
+    assert np.array_equal(g, collineation(plane, companion))
+    perm, x, seen = g.tolist(), 0, []
+    for _ in range(N):
+        seen.append(x)
+        x = perm[x]
+    assert x == 0 and sorted(seen) == list(range(N))  # one cycle through all N points
+    images = {tuple(sorted(perm[pt] for pt in line)) for line in plane.lines}
+    assert images == set(plane.lines)
+
+
+@pytest.mark.parametrize("q", [9, 25, 49])
+def test_baer_partition_members_are_disjoint_subplanes_covering_the_plane(q):
+    plane = pg2(field_new(*SQUARE_FIELDS[q]))
+    m = plane.field.p
+    members = baer_partition(plane)
+    assert len(members) == m * m - m + 1
+    for sub in members:
+        assert sub.order == m and len(sub.points) == m * m + m + 1
+        check_subplane(plane, sub)
+    points = [x for sub in members for x in sub.points]
+    assert sorted(points) == list(range(plane.npoints))  # disjoint, and covering
+    firsts = [sub.points[0] for sub in members]
+    assert firsts == sorted(firsts) and firsts[0] == 0
+
+
+def test_singer_cycle_and_baer_partition_refusals(pg9):
+    ingested = plane_from_text(plane_to_text(pg9))
+    for fn in (singer_cycle, baer_partition):
+        with pytest.raises(NotGeneratedError):
+            fn(ingested)
+    for p, h in ((5, 1), (2, 3), (3, 3)):
+        with pytest.raises(NotSquareOrderError):
+            baer_partition(pg2(field_new(p, h)))
+
+
+def test_baer_partition_raises_on_a_member_that_fails_validation(pg9, monkeypatch):
+    monkeypatch.setattr(geometry, "subplane_result_from_points", lambda plane, pts, m: None)
+    with pytest.raises(GeometryError, match="not a Baer subplane"):
+        baer_partition(pg9)

@@ -193,3 +193,35 @@ def test_no_whole_plane_line_gathers_and_no_eager_join_tables():
     assert _whole_line_gathers(row, "codes.py") == []
     eager = "def _checked_lines(lines, n):\n    return _pair_table(lines, n)\n"
     assert _pair_table_calls(eager, "geometry.py") == ["geometry.py:2"]
+
+
+_CLOSURE_ENUMERATOR = {"_quadrangle_closures", "_closure"}
+
+
+def _closure_outside_geometry_or_avoid(source: str, name: str) -> list[str]:
+    """Uses of the quadrangle-closure enumerator outside geometry.py, and any
+    function of geometry.py with an `avoid` parameter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if name != "geometry.py" and _CLOSURE_ENUMERATOR.intersection(_identifiers(node)):
+            found.append(f"{name}:{node.lineno}")
+        if name == "geometry.py" and isinstance(node, ast.FunctionDef):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            if any(arg.arg == "avoid" for arg in params):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_quadrangle_closures_only_in_geometry_and_without_avoid():
+    # subplane_search is the one caller of the closure enumerator; disjoint
+    # Baer pairs come from the Singer partition, which needs no closures
+    # that steer around a subplane
+    found = []
+    for path in sorted(Path(planecode.__file__).parent.glob("*.py")):
+        found += _closure_outside_geometry_or_avoid(path.read_text(), path.name)
+    assert found == []
+    caller = "from .geometry import _quadrangle_closures\n"
+    assert _closure_outside_geometry_or_avoid(caller, "construct.py") == ["construct.py:1"]
+    steer = "def _closure(join, meet, seed, cap, min_point, avoid):\n    pass\n"
+    assert _closure_outside_geometry_or_avoid(steer, "geometry.py") == ["geometry.py:1"]
