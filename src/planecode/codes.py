@@ -49,6 +49,9 @@ _PANEL = 32
 # of summation (BLAS blocking, FMA): it is the integer itself, on every run.
 _FLOAT_LIMIT = 1 << 53
 _INT64_LIMIT = 1 << 62
+# Entries per column slice of the trailing update and of its full reduction:
+# the temporary of each slice stays at 8 MB.
+_SLICE_ENTRIES = 1 << 20
 
 
 def _fits(terms: int, p: int, limit: int) -> bool:
@@ -57,15 +60,18 @@ def _fits(terms: int, p: int, limit: int) -> bool:
 
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p exactly, as int64, for 2-D residue matrices a and b.
+    """(a @ b) mod p exactly, as residues in [0, p) in int64, for 2-D matrices
+    a and b of entries in (-p, p).
 
-    One float64 BLAS product when its sums stay below 2^53; otherwise int64
-    products over slices of the inner dimension, each below 2^62.
+    One float64 BLAS product when its sums stay below 2^53 in magnitude,
+    reduced after an exact cast to int64; otherwise int64 products over
+    slices of the inner dimension, each below 2^62.
     """
     inner = a.shape[1]
     if _fits(inner, p, _FLOAT_LIMIT):
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.fmod(prod, p, out=prod).astype(np.int64)
+        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        prod %= p
+        return prod
     step = (_INT64_LIMIT - p) // (p - 1) ** 2
     if step < 1:
         raise CodesError(f"p = {p} is too large for an exact int64 product")
@@ -88,8 +94,12 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     reduced lazily: a panel's columns when the panel starts, V before each
     update, and all of T only when a running bound on its (nonnegative)
     entries would reach the working limit.  When _PANEL*(p-1)^2 + p < 2^53,
-    T is float64 and Z@V one BLAS product, exact below that limit; for larger
-    p, T is int64 with limit 2^62.
+    T is float64 and Z@V a BLAS product, exact below that limit; for larger
+    p, T is int64 with limit 2^62.  Every entry is an integer below the
+    limit, so a float64 block is reduced by an exact cast to int64 and an
+    int64 remainder, a fraction of the cost of a float one.  The update and
+    the full reduction of T run in column slices of _SLICE_ENTRIES entries,
+    so their temporaries stay at 8 MB whatever the size of T.
     """
     if _fits(_PANEL, p, _FLOAT_LIMIT):
         dtype, limit = np.float64, _FLOAT_LIMIT
@@ -111,7 +121,7 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         c1 = min(c0 + _PANEL, cols)
         w = c1 - c0
         a = np.zeros((rows, 2 * w), dtype=np.int64)  # [panel | Z]
-        a[:, :w] = m[:, c0:c1] % p
+        a[:, :w] = m[:, c0:c1].astype(np.int64, copy=False) % p
         src: list[int] = []  # rows holding this panel's pivots
         for c in range(w):
             if r >= rows:
@@ -136,15 +146,23 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m[:, c0:c1] = a[:, :w]
         if src and c1 < cols:
             t = m[:, c1:]
+            step = max(1, _SLICE_ENTRIES // rows)
             grow = len(src) * (p - 1) ** 2
             if bound + grow >= limit:
-                t %= p
+                for j in range(0, t.shape[1], step):
+                    blk = t[:, j : j + step]
+                    np.remainder(blk.astype(np.int64, copy=False), p, out=blk)
                 bound = p - 1
-            v = t[src] % p  # the pivot rows as the panel found them
+            v = t[src]  # the pivot rows as the panel found them
+            np.remainder(v.astype(np.int64, copy=False), p, out=v)
             t[src] = 0
-            t += a[:, w : w + len(src)].astype(dtype) @ v
+            z = a[:, w : w + len(src)].astype(dtype)
+            for j in range(0, t.shape[1], step):
+                t[:, j : j + step] += z @ v[:, j : j + step]
             bound += grow
-    return (m[:r] % p).astype(np.int64, copy=False), pivots
+    out = m[:r].astype(np.int64)
+    out %= p
+    return out, pivots
 
 
 def _kernel_rows(rref: np.ndarray, pivots: list[int], cols: int, p: int) -> np.ndarray:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -147,6 +149,20 @@ def test_rref_reduces_the_trailing_block_mid_elimination():
     assert got_piv == want_piv and np.array_equal(got, want)
 
 
+def test_rref_in_narrow_column_slices(monkeypatch):
+    # slices of 7 columns, not dividing the trailing block: the update and
+    # the full reductions (before nearly every update at this p, as above)
+    # run in many slices and give the one-pivot-at-a-time result
+    p = 16777213
+    rng = np.random.default_rng(23)
+    m = rng.integers(0, p, size=(200, 260))
+    m[:, 100] = (m[:, 3] + 5 * m[:, 90]) % p
+    monkeypatch.setattr(codes, "_SLICE_ENTRIES", 7 * 200)
+    want, want_piv = reference_rref(m, p)
+    got, got_piv = rref_mod_p(m, p)
+    assert got_piv == want_piv and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("p", [2, 7, 65521, 268435399, 2**31 - 1])
 @pytest.mark.parametrize("inner", [0, 1, 33, 300])
 def test_matmul_mod_p_matches_python_integers(p, inner):
@@ -158,6 +174,20 @@ def test_matmul_mod_p_matches_python_integers(p, inner):
     want = (a.astype(object) @ b.astype(object)) % p
     got = matmul_mod_p(a, b, p)
     assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_matmul_mod_p_returns_residues_for_signed_inputs(p):
+    # p = 7 takes the float64 product, p = 2^31 - 1 the int64 slices
+    assert codes._fits(40, p, codes._FLOAT_LIMIT) == (p == 7)
+    rng = np.random.default_rng(p)
+    a = rng.integers(-(p - 1), p, size=(6, 40))
+    b = rng.integers(-(p - 1), p, size=(40, 4))
+    a[0], b[:, 0] = -(p - 1), p - 1
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = matmul_mod_p(a, b, p)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert got.min() >= 0 and got.max() < p
 
 
 def test_matmul_mod_p_refuses_p_beyond_the_int64_bound():
@@ -401,3 +431,60 @@ def test_uint8_incidence_matrix_gives_the_int64_rref(planes, q, p):
     want, want_pivots = rref_mod_p(a.astype(np.int64), p)
     assert rref.dtype == want.dtype == np.int64
     assert pivots == want_pivots and rref.tobytes() == want.tobytes()
+
+
+def _digest(a):
+    a = np.ascontiguousarray(a, dtype="<i8")
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+# SHA-256 of PG(2,p^h)'s code RREF generator, its pivots and the dual's RREF
+# generator.  The RREF is unique, so a faster kernel must reproduce these
+# bytes exactly.
+PINNED = {
+    (2, 2): (  # q = 4
+        "7a6161320e0132a0a0c3136e6f3a6ef9608f40d8800da0042bf06cb5c1800dff",
+        "af53d0c589afa354e794ea4def4db52eb8676fbf02eb4f2764599f06d61fafc9",
+        "654a676b8208964f167aed9f35fb328a18eca9d7d4e2569cfdce108d9da299b6",
+    ),
+    (3, 2): (  # q = 9
+        "095c0f0da1eed4744dd76c02454bd8ae38d70fb5304685c11a1fecef9f55f61c",
+        "d7ffd86eff2207d9ee5ebc604b517a50d6738c8903029a92cad140a3b66c262d",
+        "c5e91c6611c39a88d7f0a53c40c5e484e4bce76da6b7b2db7eaf59d7b0fd7bb5",
+    ),
+    (2, 4): (  # q = 16
+        "781963173d62be14aaf7552355955c7ec48efd0fbfea458e4bb0b0ce47683685",
+        "d806aafd93c4bbecf4ed684bc81a1936fa18c411e56edbc7e877027a7732dd25",
+        "c1f35bd1a1265228e88aa40ef1c6dcba55ccab74054776654c57472520c0db6e",
+    ),
+    (5, 2): (  # q = 25
+        "423d292f487e91ee2623c9d543f3d2b8e7a9977201ac4b68d41e8b4742255f8d",
+        "7fe2b5b73977db58502f7c4e88d48ed61adfd60196fe28cd14d7df7dc743505b",
+        "fa68402514afcfc16b370059e5dfa53f2a1e964cab823e1fdb560f289bc16371",
+    ),
+}
+
+
+@pytest.mark.parametrize("p,h", sorted(PINNED))
+def test_code_pivots_and_dual_are_pinned(p, h):
+    plane = pg2(field_new(p, h))
+    rref, pivots = rref_mod_p(incidence_matrix(plane), p)
+    code = code_of_plane(plane, p)
+    assert np.array_equal(rref, code.generator)
+    got = (_digest(code.generator), _digest(pivots), _digest(dual_basis(code).generator))
+    assert got == PINNED[p, h]
+
+
+def test_rref_memory_above_the_working_matrix_at_q49():
+    # the trailing update and the reductions allocate 8 MB column slices;
+    # beyond the working matrix only the int64 result stays large
+    a = incidence_matrix(pg2(field_new(7, 2)))
+    working = a.size * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        rref, pivots = rref_mod_p(a, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pivots) == 785  # Hamada: C(8,2)^2 + 1
+    assert peak - working <= rref.nbytes + (8 << 20) + (2 << 20)

@@ -74,6 +74,18 @@ def test_float64_only_in_the_bounded_gf_p_products():
     assert found == []
 
 
+def test_no_float_remainder_in_package():
+    # a float64 block of integers below 2^53 is reduced by an exact cast to
+    # int64 and an int64 remainder, several times cheaper than np.fmod
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(planecode.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "fmod" in line
+    ]
+    assert found == []
+
+
 def _na_results_outside_the_runner(source: str) -> tuple[list[int], int]:
     """Lines of analyze.py that build CheckResult(..., NA, ...) outside the
     checklist runner, and how many such calls the runner holds."""
