@@ -1,20 +1,22 @@
 """The acceptance battery: one callable per criterion, shared by the test
 suite and the `suite acceptance` CLI command.
 
-Each criterion returns a CriterionResult with a pass flag, a human-readable
-detail string, and its wall time; stated runtime budgets are part of the
+Each row is declared once, by `criterion(name, budget)`: its check returns
+(ok, detail), and the row returns a CriterionResult with its number, pass
+flag, detail string and wall time; a stated runtime budget is part of the
 pass condition.  Randomized rows take an explicit seed (default 0).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analyze import FAIL, NA, PASS, analyze
+from .analyze import FAIL, NA, PASS, analyze, extract_baer
 from .antipodal import (
     antipodal_from_pg24,
     cyclic_antipodal,
@@ -85,8 +87,32 @@ class AcceptanceContext:
         return self._dual_codes[key]
 
 
-def _result(number, name, t0, ok, detail) -> CriterionResult:
-    return CriterionResult(number, name, bool(ok), detail, time.perf_counter() - t0)
+# the rows in suite order, appended by `criterion`; run_all reads the list at
+# call time, so a row may be swapped in place (perfbench/tracing.py times them so)
+ALL_CRITERIA: list = []
+
+
+def criterion(name: str, budget: float | None = None):
+    """Register a check returning (ok, detail) as the next acceptance row.
+
+    The row times the check, fails when a budget is given and the time is
+    not under it, and is numbered by its position in ALL_CRITERIA."""
+
+    def register(check):
+        number = len(ALL_CRITERIA) + 1
+
+        @functools.wraps(check)
+        def row(ctx: AcceptanceContext) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, detail = check(ctx)
+            seconds = time.perf_counter() - t0
+            ok = bool(ok) and (budget is None or seconds < budget)
+            return CriterionResult(number, name, ok, detail, seconds)
+
+        ALL_CRITERIA.append(row)
+        return row
+
+    return register
 
 
 def _tally_text(tally) -> str:
@@ -94,25 +120,23 @@ def _tally_text(tally) -> str:
     return f"(pass {tally[PASS]}, na {tally[NA]}, fail {tally[FAIL]})"
 
 
-def criterion_1_dimension_formula(ctx: AcceptanceContext) -> CriterionResult:
+@criterion("dimension formula", budget=60)
+def criterion_1_dimension_formula(ctx: AcceptanceContext):
     cases = [
         (2, 1, 4), (3, 1, 7), (2, 2, 10), (5, 1, 16), (7, 1, 29),
         (2, 3, 28), (3, 2, 37), (2, 4, 82), (5, 2, 226),
     ]
-    t0 = time.perf_counter()
     got = []
     ok = True
     for p, h, want in cases:
         dim = ctx.code(p, h).dimension
         got.append(dim)
         ok &= dim == want
-    seconds = time.perf_counter() - t0
-    ok &= seconds < 60
-    return _result(1, "dimension formula", t0, ok, f"dims {got}")
+    return ok, f"dims {got}"
 
 
-def criterion_2_primal_minimum(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("primal minimum weight")
+def criterion_2_primal_minimum(ctx: AcceptanceContext):
     ok = True
     details = []
     for p, h in ((2, 1), (3, 1), (2, 2)):
@@ -127,35 +151,30 @@ def criterion_2_primal_minimum(ctx: AcceptanceContext) -> CriterionResult:
         found = {tuple(w.values) for w in res.words}
         ok &= res.min_weight == n + 1 and found == expected
         details.append(f"q={n}: d={res.min_weight}, {len(found)} words")
-    return _result(2, "primal minimum weight", t0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_3_dual_minimum_even(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("dual minimum weight, even q")
+def criterion_3_dual_minimum_even(ctx: AcceptanceContext):
     r2 = enumerate_min_weight(ctx.dual_code(2, 1))
     r4 = enumerate_min_weight(ctx.dual_code(2, 2))
     ok = (
         r2.min_weight == 4 and r2.words_checked == 8
         and r4.min_weight == 6 and r4.words_checked == 2048
     )
-    return _result(
-        3, "dual minimum weight, even q", t0, ok,
-        f"q=2: {r2.min_weight} ({r2.words_checked} words); q=4: {r4.min_weight} ({r4.words_checked} words)",
-    )
+    return ok, (f"q=2: {r2.min_weight} ({r2.words_checked} words); "
+                f"q=4: {r4.min_weight} ({r4.words_checked} words)")
 
 
-def criterion_4_dual_minimum_prime(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("dual minimum weight, prime q")
+def criterion_4_dual_minimum_prime(ctx: AcceptanceContext):
     r = enumerate_min_weight(ctx.dual_code(3, 1))
     ok = r.min_weight == 6 and r.words_checked == 729
-    return _result(
-        4, "dual minimum weight, prime q", t0, ok,
-        f"q=3: {r.min_weight} ({r.words_checked} words)",
-    )
+    return ok, f"q=3: {r.min_weight} ({r.words_checked} words)"
 
 
-def criterion_5_baer_witnesses(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("Baer-diff upper-bound witnesses", budget=300)
+def criterion_5_baer_witnesses(ctx: AcceptanceContext):
     ok = True
     details = []
     for p, want in ((3, 15), (5, 45), (7, 91)):
@@ -167,15 +186,11 @@ def criterion_5_baer_witnesses(ctx: AcceptanceContext) -> CriterionResult:
         ctx.checked_words.append((p * p, p, w.weight))
         details.append(f"q={p * p}: weight {w.weight}, dual={dual}, "
                        f"failed checks {tally[FAIL]} {_tally_text(tally)}")
-    seconds = time.perf_counter() - t0
-    ok &= seconds < 300
-    return _result(5, "Baer-diff upper-bound witnesses", t0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_6_isbaer_roundtrip(ctx: AcceptanceContext) -> CriterionResult:
-    from .analyze import extract_baer
-
-    t0 = time.perf_counter()
+@criterion("Baer structure round-trip")
+def criterion_6_isbaer_roundtrip(ctx: AcceptanceContext):
     ok = True
     details = []
     for p in (3, 5, 7):
@@ -189,7 +204,7 @@ def criterion_6_isbaer_roundtrip(ctx: AcceptanceContext) -> CriterionResult:
         details.append(f"p={p}: {'ok' if round_trip else 'MISMATCH'}")
     # criteria 5 and 6 are the only users of PG(2,49); free its N x N tables
     ctx._planes.pop((7, 2), None)
-    return _result(6, "Baer structure round-trip", t0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 MK_CELLS = {3: True, 4: True, 5: False, 7: True, 8: False, 9: True, 11: False, 13: True}
@@ -200,8 +215,8 @@ FIELD_OF = {
 }
 
 
-def criterion_7_embedding_truth_table(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("embedding truth table", budget=1800)
+def criterion_7_embedding_truth_table(ctx: AcceptanceContext):
     ok = True
     details = []
     for pls, cells, tag in (
@@ -220,17 +235,12 @@ def criterion_7_embedding_truth_table(ctx: AcceptanceContext) -> CriterionResult
             ok &= good
             if not good:
                 details.append(f"{tag} q={q}: got {out.status}")
-    seconds = time.perf_counter() - t0
-    ok &= seconds < 1800
-    return _result(
-        7, "embedding truth table", t0, ok,
-        "; ".join(details) if details else
-        f"{len(MK_CELLS) + len(AP3_CELLS)} cells match the closed-form conditions",
-    )
+    return ok, ("; ".join(details) if details else
+                f"{len(MK_CELLS) + len(AP3_CELLS)} cells match the closed-form conditions")
 
 
-def criterion_8_menelaos_ceva(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("Menelaos and Ceva products")
+def criterion_8_menelaos_ceva(ctx: AcceptanceContext):
     ok = True
     details = []
     for q in (3, 4, 5, 7, 9):
@@ -244,13 +254,12 @@ def criterion_8_menelaos_ceva(ctx: AcceptanceContext) -> CriterionResult:
         cev = all(ceva_product(plane, x) == 1 for x in points)
         ok &= men and cev and len(lines) == (q - 1) ** 2 and len(points) == (q - 1) ** 2
         details.append(f"q={q}: {len(lines)}+{len(points)} cases")
-    return _result(8, "Menelaos and Ceva products", t0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_9_antipodal_models(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("antipodal models")
+def criterion_9_antipodal_models(ctx: AcceptanceContext):
     ok = True
-    notes = []
     ap2 = validate_antipodal(cyclic_antipodal(2))
     ap3 = validate_antipodal(cyclic_antipodal(3))
     ok &= ap2.order == 2 and ap2.pls.n_points == 8
@@ -269,8 +278,7 @@ def criterion_9_antipodal_models(ctx: AcceptanceContext) -> CriterionResult:
             j = ap.perp_line[i]
             ok &= ap.perp_line[j] == i
             ok &= frozenset(ap.perp_point[x] for x in l) == pls.line_sets[j]
-    notes.append("orders 2/3 cyclic + complement model validated; isomorphism found")
-    return _result(9, "antipodal models", t0, ok, "; ".join(notes))
+    return ok, "orders 2/3 cyclic + complement model validated; isomorphism found"
 
 
 def random_dual_words(dual_code, rng, count: int) -> list[CodeWord]:
@@ -286,8 +294,8 @@ def random_dual_words(dual_code, rng, count: int) -> list[CodeWord]:
     return words
 
 
-def criterion_10_analyzer_suite(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("analyzer theorem suite", budget=600)
+def criterion_10_analyzer_suite(ctx: AcceptanceContext):
     rng = np.random.default_rng(ctx.seed)
     ok = True
     details = []
@@ -316,40 +324,20 @@ def criterion_10_analyzer_suite(ctx: AcceptanceContext) -> CriterionResult:
         ok &= tally[FAIL] == 0
         details.append(f"q={q}: {len(words)} words, {tally[FAIL]} failed checks "
                        + _tally_text(tally))
-    seconds = time.perf_counter() - t0
-    ok &= seconds < 600
-    return _result(10, "analyzer theorem suite", t0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_11_bagchi_bound(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion("Bagchi bound")
+def criterion_11_bagchi_bound(ctx: AcceptanceContext):
     if not ctx.checked_words:
-        return _result(11, "Bagchi bound", t0, False, "no words recorded by criteria 5/10")
+        return False, "no words recorded by criteria 5/10"
     bad = [
         (q, weight)
         for q, p, weight in ctx.checked_words
         if weight < 2 * (q + 1 - q // p)
     ]
-    ok = not bad
-    return _result(
-        11, "Bagchi bound", t0, ok,
-        f"{len(ctx.checked_words)} dual words checked" + (f"; violations {bad[:3]}" if bad else ""),
-    )
-
-
-ALL_CRITERIA = [
-    criterion_1_dimension_formula,
-    criterion_2_primal_minimum,
-    criterion_3_dual_minimum_even,
-    criterion_4_dual_minimum_prime,
-    criterion_5_baer_witnesses,
-    criterion_6_isbaer_roundtrip,
-    criterion_7_embedding_truth_table,
-    criterion_8_menelaos_ceva,
-    criterion_9_antipodal_models,
-    criterion_10_analyzer_suite,
-    criterion_11_bagchi_bound,
-]
+    return not bad, (f"{len(ctx.checked_words)} dual words checked"
+                     + (f"; violations {bad[:3]}" if bad else ""))
 
 
 def run_all(seed: int = 0) -> list[CriterionResult]:

@@ -26,7 +26,8 @@ from .antipodal import (
     PartialLinearSpace,
     validate_antipodal,
 )
-from .codes import CodeWord, indicator, is_dual_word, word_diff
+from .codes import CodeWord, is_dual_word
+from .construct import _baer_minus_secant
 from .geometry import Plane, SubplaneResult, _restricted_lines, subplane_result_from_points
 from .field import is_prime
 
@@ -415,11 +416,7 @@ def extract_baer(
     sub = subplane_result_from_points(plane, frozenset(k_big.tolist()) | frozenset(aa), p)
     if sub is None:
         raise StructureMismatchError("reassembled point set is not a subplane", f"of order {p}")
-    rebuilt = word_diff(
-        indicator(sub.points, plane.npoints, p),
-        indicator(plane.lines[secant], plane.npoints, p),
-    )
-    if not _scalar_multiple(word, rebuilt):
+    if not _scalar_multiple(word, _baer_minus_secant(plane, sub, secant, p)):
         raise StructureMismatchError("word is not a scalar multiple of subplane minus secant")
     return sub, secant
 

@@ -23,7 +23,7 @@ from .antipodal import (
 )
 from .codes import DEFAULT_ENUM_BUDGET, code_of_plane, dual_basis, enumerate_min_weight
 from .construct import antipodal_diff, baer_diff, line_diff, subplane_diff
-from .field import parse_field
+from .field import field_new, parse_field
 from .geometry import (
     SubplaneResult,
     baer_subfield_subplane,
@@ -40,8 +40,6 @@ class CliError(ValueError):
 def _parse_field_args(args):
     field = parse_field(args.field)
     if getattr(args, "modulus", None):
-        from .field import field_new
-
         field = field_new(field.p, field.h, _int_list(args.modulus, "--modulus"))
     return field
 
@@ -221,10 +219,9 @@ def cmd_suite(args) -> dict:
     results = acceptance.run_all(seed=args.seed)
     for r in results:
         print(r.line(), file=sys.stderr)
-    ok = all(r.passed for r in results)
-    record = {
+    return {
         "suite": "acceptance",
-        "passed": ok,
+        "passed": all(r.passed for r in results),
         "rows": [
             {
                 "number": r.number,
@@ -236,15 +233,6 @@ def cmd_suite(args) -> dict:
             for r in results
         ],
     }
-    if not ok:
-        raise SuiteFailure(record)
-    return record
-
-
-class SuiteFailure(Exception):
-    def __init__(self, record):
-        self.record = record
-        super().__init__("acceptance suite failed")
 
 
 # -- parser ------------------------------------------------------------------------
@@ -314,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("antipodal", help="build or validate antipodal planes")
     ta = t.add_subparsers(dest="action", required=True)
     b = ta.add_parser("build", parents=[common])
-    b.add_argument("--order", type=int, choices=(2, 3))
-    b.add_argument("--from-pg24", action="store_true")
+    source = b.add_mutually_exclusive_group(required=True)
+    source.add_argument("--order", type=int, choices=(2, 3))
+    source.add_argument("--from-pg24", action="store_true")
     b.add_argument("--pls-out", dest="pls_out")
     v = ta.add_parser("validate", parents=[common])
     v.add_argument("--file", required=True)
@@ -353,18 +342,13 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k != "out" and v is not None}
     inputs = {
         k: getattr(args, k)
-        for k in ("plane", "file", "word", "emb1", "emb2")
+        for k in ("plane", "file", "word", "pls", "emb1", "emb2")
         if getattr(args, k, None)
     }
-    if (getattr(args, "pls", "") or "").startswith(("/", ".")):
-        inputs["pls"] = args.pls
     t0 = time.perf_counter()
     try:
         outcome = HANDLERS[args.command](args)
-        code = 0
-    except SuiteFailure as e:
-        outcome = e.record
-        code = 1
+        code = 1 if outcome.get("passed") is False else 0
     except Exception as e:  # domain errors: structured record, exit 1
         outcome = {"error": type(e).__name__, "message": str(e)}
         code = 1

@@ -77,6 +77,15 @@ def line_diff(plane: Plane, l1: int, l2: int, raw: bool = False) -> CodeWord:
     return _scaled(w, plane, raw)
 
 
+def _baer_minus_secant(plane: Plane, sub: SubplaneResult, secant: int, p: int) -> CodeWord:
+    """Indicator of the subplane minus indicator of the secant, unscaled and
+    unchecked; baer_diff checks it, extract_baer compares a word against it."""
+    return word_diff(
+        indicator(sub.points, plane.npoints, p),
+        indicator(plane.lines[secant], plane.npoints, p),
+    )
+
+
 def baer_diff(
     plane: Plane,
     sub: SubplaneResult,
@@ -94,10 +103,7 @@ def baer_diff(
     _check_line(plane, secant)
     if len(set(plane.lines[secant]).intersection(sub.points)) != sub.order + 1:
         raise NotSecantError(f"line {secant} is not a secant of the subplane")
-    w = word_diff(
-        indicator(sub.points, plane.npoints, p),
-        indicator(plane.lines[secant], plane.npoints, p),
-    )
+    w = _baer_minus_secant(plane, sub, secant, p)
     ok, witness = is_dual_word(w, plane)
     if not ok:
         raise RecipeCheckError(f"Baer-minus-secant is not orthogonal to line {witness}")

@@ -66,12 +66,6 @@ def prime_of_power(n: int) -> int:
     raise FieldError(f"{n} is not a prime power")
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_mod(a: list[int], m: Sequence[int], p: int) -> list[int]:
     """Remainder of a modulo the monic polynomial m, coefficients mod p."""
     a = [x % p for x in a]
@@ -85,24 +79,6 @@ def _poly_mod(a: list[int], m: Sequence[int], p: int) -> list[int]:
     while len(a) < dm:
         a.append(0)
     return a
-
-
-def _poly_divides(d: Sequence[int], f: Sequence[int], p: int) -> bool:
-    """True if the monic polynomial d divides f over GF(p)."""
-    r = [x % p for x in f]
-    dd = len(d) - 1
-    while len(_poly_trim(list(r))) - 1 >= dd and any(r):
-        r = _poly_trim(r)
-        if len(r) - 1 < dd:
-            break
-        c = r[-1]
-        shift = len(r) - 1 - dd
-        for j in range(dd + 1):
-            r[shift + j] = (r[shift + j] - c * d[j]) % p
-        r = _poly_trim(r)
-        if not r:
-            return True
-    return not _poly_trim(list(r))
 
 
 def _monic_polys(p: int, deg: int) -> Iterable[list[int]]:
@@ -123,7 +99,7 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
         return True
     for d in range(1, deg // 2 + 1):
         for g in _monic_polys(p, d):
-            if _poly_divides(g, f, p):
+            if not any(_poly_mod(f, g, p)):
                 return False
     return True
 
@@ -270,10 +246,6 @@ class Field:
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
-
-    def scalar(self, k: int) -> int:
-        """The prime-subfield element k*1."""
-        return k % self.p
 
     def in_subfield(self, a: int, d: int) -> bool:
         """True if a lies in the subfield GF(p^d); requires d | h."""

@@ -91,14 +91,12 @@ class Plane:
         source: str,
         field: Field | None = None,
         coords: tuple[tuple[int, int, int], ...] | None = None,
-        line_coords: tuple[tuple[int, int, int], ...] | None = None,
     ):
         self.order = order
         self.npoints = N = order * order + order + 1
         self.source = source
         self.field = field
         self.coords = coords
-        self.line_coords = line_coords
         # the coordinates as an N x 3 array, for the vectorised collineations
         self.coords_arr = None if coords is None else np.array(coords, dtype=np.int64)
         self.lines_arr = _checked_lines(lines, order)
@@ -250,7 +248,7 @@ def pg2(field: Field) -> Plane:
     pts += [(1, y, z) for y in range(q) for z in range(q)]
     coords = tuple(pts)
     lines = _pg2_lines(field, coords)  # its temporaries are freed before validation
-    return Plane(q, lines, "generated", field=field, coords=coords, line_coords=coords)
+    return Plane(q, lines, "generated", field=field, coords=coords)
 
 
 def _pg2_lines(field: Field, coords: tuple[tuple[int, int, int], ...]) -> np.ndarray:

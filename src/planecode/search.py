@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .antipodal import AntipodalPlane, PartialLinearSpace, is_good_triangle
+from .antipodal import AntipodalPlane, PartialLinearSpace, find_good_triangle, is_good_triangle
 from .geometry import NotGeneratedError, Plane, collineation, fundamental_triangle, slope_from_coords
 
 DEFAULT_BUDGET = 10**9
@@ -388,8 +388,6 @@ def slope_certificate(
     if not ok:
         raise SearchError(f"not an embedding of the antipodal plane: witness {witness}")
     if triangle is None:
-        from .antipodal import find_good_triangle
-
         triangle = find_good_triangle(ap)
     elif not is_good_triangle(ap, *triangle):
         raise SearchError(f"{triangle} is not a good triangle")

@@ -4,11 +4,14 @@ Each test prints one pass/fail line; `planecode suite acceptance` runs the
 same battery from the command line.
 """
 
+import json
 import re
+import time
 
 import pytest
 
 from planecode import acceptance as acc
+from planecode.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +120,57 @@ def test_random_dual_words_match_the_per_word_products(ctx, seed):
             got = acc.random_dual_words(dual, np.random.default_rng(seed), count)
             assert len(got) == count
             assert all(np.array_equal(w.values, v) for w, v in zip(got, want))
+
+
+
+def test_all_criteria_holds_the_eleven_rows_in_order():
+    assert acc.ALL_CRITERIA == [
+        acc.criterion_1_dimension_formula, acc.criterion_2_primal_minimum,
+        acc.criterion_3_dual_minimum_even, acc.criterion_4_dual_minimum_prime,
+        acc.criterion_5_baer_witnesses, acc.criterion_6_isbaer_roundtrip,
+        acc.criterion_7_embedding_truth_table, acc.criterion_8_menelaos_ceva,
+        acc.criterion_9_antipodal_models, acc.criterion_10_analyzer_suite,
+        acc.criterion_11_bagchi_bound,
+    ]
+    rows = acc.run_all(seed=0)
+    assert [(r.number, r.name) for r in rows] == list(enumerate([
+        "dimension formula", "primal minimum weight", "dual minimum weight, even q",
+        "dual minimum weight, prime q", "Baer-diff upper-bound witnesses",
+        "Baer structure round-trip", "embedding truth table", "Menelaos and Ceva products",
+        "antipodal models", "analyzer theorem suite", "Bagchi bound",
+    ], start=1))
+    assert all(r.passed for r in rows)
+
+
+def test_a_row_over_its_budget_fails(monkeypatch):
+    monkeypatch.setattr(acc, "ALL_CRITERIA", [])
+
+    @acc.criterion("slow", budget=0.01)
+    def slow(ctx):
+        time.sleep(0.02)
+        return True, "checks passed"
+
+    @acc.criterion("quick", budget=60)
+    def quick(ctx):
+        return True, "checks passed"
+
+    r_slow, r_quick = acc.run_all(seed=0)
+    assert not r_slow.passed and r_slow.seconds >= 0.01
+    assert r_slow.detail == "checks passed"
+    assert r_quick.passed
+
+
+def test_a_failing_row_makes_the_suite_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(acc, "ALL_CRITERIA", [])
+    for name, ok in (("before", True), ("broken", False), ("after", True)):
+        acc.criterion(name)(lambda ctx, ok=ok: (ok, f"ok={ok}"))
+    code = main(["suite", "acceptance"])
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)["outcome"]
+    assert code == 1
+    assert record["passed"] is False
+    assert [(r["number"], r["name"], r["passed"]) for r in record["rows"]] == [
+        (1, "before", True), (2, "broken", False), (3, "after", True),
+    ]
+    assert "[FAIL] criterion  2 broken: ok=False" in captured.err
+    assert "planecode suite: suite failed" in captured.err

@@ -9,6 +9,9 @@ import pytest
 from planecode import cli
 
 from planecode.field import (
+    _default_modulus,
+    _is_irreducible,
+    _monic_polys,
     _poly_mod,
     DivisionByZeroError,
     Field,
@@ -266,3 +269,64 @@ def test_largest_tabled_field_builds_in_under_a_second():
     assert time.perf_counter() - t0 < 1.0
     a, b = 1234, 4000
     assert f.mul(f.mul(a, b), f.inv(b)) == a and f.mul(a, f.inv(a)) == 1
+
+
+def reference_poly_divides(d, f, p):
+    """True if the monic polynomial d divides f over GF(p): the trial
+    division the irreducibility test first used, kept as an oracle."""
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    r = [x % p for x in f]
+    dd = len(d) - 1
+    while len(trim(list(r))) - 1 >= dd and any(r):
+        r = trim(r)
+        if len(r) - 1 < dd:
+            break
+        c = r[-1]
+        shift = len(r) - 1 - dd
+        for j in range(dd + 1):
+            r[shift + j] = (r[shift + j] - c * d[j]) % p
+        r = trim(r)
+        if not r:
+            return True
+    return not trim(list(r))
+
+
+def reference_is_irreducible(f, p):
+    deg = len(f) - 1
+    return deg >= 1 and not any(
+        reference_poly_divides(g, f, p)
+        for d in range(1, deg // 2 + 1) for g in _monic_polys(p, d)
+    )
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 6), (3, 4), (5, 3)])
+def test_irreducibility_matches_the_trial_division(p, max_deg):
+    for deg in range(1, max_deg + 1):
+        for f in _monic_polys(p, deg):
+            assert _is_irreducible(f, p) == reference_is_irreducible(f, p), f
+            for g in (g for d in range(1, deg + 1) for g in _monic_polys(p, d)):
+                assert (not any(_poly_mod(f, g, p))) == reference_poly_divides(g, f, p), (g, f)
+
+
+@pytest.mark.parametrize(
+    "p,h,modulus",
+    [
+        (2, 2, (1, 1, 1)),
+        (2, 3, (1, 1, 0, 1)),
+        (2, 4, (1, 1, 0, 0, 1)),
+        (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+        (2, 12, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+        (3, 2, (1, 0, 1)),
+        (3, 3, (1, 2, 0, 1)),
+        (5, 2, (2, 0, 1)),
+        (7, 2, (1, 0, 1)),
+    ],
+)
+def test_default_moduli_are_pinned(p, h, modulus):
+    assert _default_modulus(p, h) == modulus
+    assert reference_is_irreducible(modulus, p)

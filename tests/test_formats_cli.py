@@ -201,12 +201,29 @@ def test_cli_antipodal_build_validate(tmp_path, capsys):
     assert len(record["outcome"]["perp_point"]) == 14
 
 
+@pytest.mark.parametrize("argv", [[], ["--order", "2", "--from-pg24"]])
+def test_cli_antipodal_build_needs_exactly_one_source(argv):
+    with pytest.raises(SystemExit) as e:
+        main(["antipodal", "build", *argv])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("spec", ["mk.pls", "./mk.pls"])
+def test_cli_embed_hashes_a_relative_pls_path(tmp_path, monkeypatch, capsys, spec):
+    monkeypatch.chdir(tmp_path)
+    formats.write_pls(cyclic_antipodal(2), "mk.pls")
+    code, record = run_cli(capsys, "embed", "--pls", spec, "--field", "3")
+    assert code == 0
+    assert record["input_hashes"] == {"pls": formats.file_sha256("mk.pls")}
+
+
 def test_cli_embed_builtin(tmp_path, capsys):
     code, record = run_cli(
         capsys, "embed", "--pls", "builtin:mk", "--field", "7"
     )
     assert code == 0
     assert record["outcome"]["status"] == "found"
+    assert record["input_hashes"] == {}
     code, record = run_cli(
         capsys, "embed", "--pls", "builtin:mk", "--field", "5"
     )

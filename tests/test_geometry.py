@@ -404,7 +404,6 @@ def test_pg2_matches_reference(q):
     coords, lines = reference_pg2(field)
     N = q * q + q + 1
     assert plane.coords == coords
-    assert plane.line_coords == coords  # lines are indexed like points
     assert plane.lines == lines
     assert plane.lines_arr.dtype == np.int32
     assert np.array_equal(plane.lines_arr, np.array(lines))
