@@ -27,7 +27,7 @@ from .antipodal import (
     validate_antipodal,
 )
 from .codes import CodeWord, is_dual_word
-from .construct import _baer_minus_secant
+from .construct import _set_diff
 from .geometry import Plane, SubplaneResult, _restricted_lines, subplane_result_from_points
 from .field import is_prime
 
@@ -382,16 +382,14 @@ def _classify(a: WordAnalysis) -> str:
     return "multi-colour"
 
 
-def extract_baer(
-    word: CodeWord, plane: Plane, override_non_dual: bool = False
-) -> tuple[SubplaneResult, int]:
+def extract_baer(word: CodeWord, plane: Plane) -> tuple[SubplaneResult, int]:
     """Rebuild the Baer subplane and secant behind an extremal two-colour word.
 
     Requires a dual two-colour word with class sizes p^2 and p^2-p (weight
     2p^2-p).  Returns (subplane, secant line index) such that the word is a
     scalar multiple of subplane-minus-secant.
     """
-    a = analyze(word, plane, override_non_dual=override_non_dual)
+    a = analyze(word, plane)
     p = a.p
     if a.classification != "baer":
         raise StructureMismatchError(
@@ -416,7 +414,7 @@ def extract_baer(
     sub = subplane_result_from_points(plane, frozenset(k_big.tolist()) | frozenset(aa), p)
     if sub is None:
         raise StructureMismatchError("reassembled point set is not a subplane", f"of order {p}")
-    if not _scalar_multiple(word, _baer_minus_secant(plane, sub, secant, p)):
+    if not _scalar_multiple(word, _set_diff(plane, sub.points, plane.lines[secant])):
         raise StructureMismatchError("word is not a scalar multiple of subplane minus secant")
     return sub, secant
 
@@ -432,12 +430,12 @@ def _scalar_multiple(a: CodeWord, b: CodeWord) -> bool:
 
 
 def extract_antipodal(
-    word: CodeWord, plane: Plane, override_non_dual: bool = False
+    word: CodeWord, plane: Plane
 ) -> tuple[tuple[tuple[int, ...], AntipodalPlane], tuple[tuple[int, ...], AntipodalPlane]]:
     """Split an equal-two-colour word of weight 2p^2-2p+4 into its two point
     classes and validate each, with its induced p-secant line structure, as
     an antipodal plane of order p-1."""
-    a = analyze(word, plane, override_non_dual=override_non_dual)
+    a = analyze(word, plane)
     p = a.p
     if a.classification != "antipodal":
         raise StructureMismatchError(

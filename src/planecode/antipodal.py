@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .geometry import NotGeneratedError, Plane, _restricted_lines, baer_subfield_subplane, pg2
+from .geometry import Plane, _field_of, _restricted_lines, baer_subfield_subplane, pg2
 
 
 class AntipodalError(ValueError):
@@ -42,6 +42,8 @@ class PLSError(AntipodalError):
 
 class PartialLinearSpace:
     """Points 0..n-1 and lines of size >= 2; two points on at most one line."""
+
+    source = "abstract"  # a search target that is not a generated plane
 
     def __init__(self, n_points: int, lines):
         self.n_points = n_points
@@ -211,9 +213,8 @@ def mobius_kantor_pls(
     point) plus the ambient point indices.  Exactly eight ambient lines
     contain three of the points; that is verified.
     """
-    if plane.field is None:
-        raise NotGeneratedError("Mobius-Kantor points need a generated plane")
-    pts = [plane.point_index(c) for c in mobius_kantor_points(plane.field, omega)]
+    f = _field_of(plane, "mobius_kantor_pls")
+    pts = [plane.point_index(c) for c in mobius_kantor_points(f, omega)]
     if len(set(pts)) != 8:
         raise AntipodalError("Mobius-Kantor points are not distinct in this plane")
     counts = plane.line_counts(pts)
@@ -271,7 +272,7 @@ def isomorphism(a: PartialLinearSpace, b: PartialLinearSpace) -> tuple[int, ...]
 
     if a.n_points != b.n_points or len(a.lines) != len(b.lines):
         return None
-    out = embed_search(a, b, normalize=False)
+    out = embed_search(a, b)
     if out.status == "budget-exceeded":
         raise AntipodalError(
             f"isomorphism search stopped at its budget after {out.stats.nodes} nodes"

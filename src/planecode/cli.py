@@ -39,17 +39,15 @@ class CliError(ValueError):
 
 def _parse_field_args(args):
     field = parse_field(args.field)
-    if getattr(args, "modulus", None):
+    if args.modulus:
         field = field_new(field.p, field.h, _int_list(args.modulus, "--modulus"))
     return field
 
 
 def _load_plane(args):
-    if getattr(args, "field", None):
-        return pg2(_parse_field_args(args))
-    if getattr(args, "plane", None):
-        return formats.read_plane(args.plane)
-    raise CliError("needs --field or --plane")
+    if args.plane and args.modulus:
+        raise CliError("--modulus applies to --field, not to a --plane file")
+    return formats.read_plane(args.plane) if args.plane else pg2(_parse_field_args(args))
 
 
 def _load_pls(spec: str):
@@ -188,14 +186,7 @@ def cmd_embed(args) -> dict:
     pls = _load_pls(args.pls)
     plane = _load_plane(args)
     exclude = frozenset(_int_list(args.exclude, "--exclude")) if args.exclude else frozenset()
-    out = embed_search(
-        pls,
-        plane,
-        cap=args.cap,
-        budget=args.budget,
-        normalize=False if args.no_normalize else None,
-        exclude=exclude,
-    )
+    out = embed_search(pls, plane, cap=args.cap, budget=args.budget, exclude=exclude)
     record = {
         "status": out.status,
         "embeddings_found": len(out.embeddings),
@@ -239,9 +230,11 @@ def cmd_suite(args) -> dict:
 
 
 def _add_plane_source(x, field_only: bool = False):
+    """--field, or with field_only unset exactly one of --field and --plane."""
+    source = x if field_only else x.add_mutually_exclusive_group(required=True)
     if not field_only:
-        x.add_argument("--plane", help="plane file")
-    x.add_argument("--field", help='field as "p^h", e.g. 3^2', required=field_only)
+        source.add_argument("--plane", help="plane file")
+    source.add_argument("--field", help='field as "p^h", e.g. 3^2', required=field_only)
     x.add_argument("--modulus", help="optional modulus coefficients, low degree first")
 
 
@@ -314,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plane_source(e)
     e.add_argument("--cap", type=int, default=1)
     e.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    e.add_argument("--no-normalize", action="store_true")
     e.add_argument("--exclude", help="plane point indices barred as images")
     e.add_argument("--emb-out", dest="emb_out", help="write the first embedding as JSON")
 

@@ -277,15 +277,12 @@ def incidence_matrix(plane: Plane) -> np.ndarray:
     return a
 
 
-def code_of_plane(plane: Plane, p: int, allow_prime_mismatch: bool = False) -> LinearCode:
+def code_of_plane(plane: Plane, p: int) -> LinearCode:
     """The p-ary code of the plane: GF(p)-span of the incidence rows."""
     if not is_prime(p):
         raise CodesError(f"p must be prime, got {p}")
-    if not allow_prime_mismatch and prime_of_power(plane.order) != p:
-        raise PrimeMismatchError(
-            f"plane order {plane.order} is not a power of {p}; "
-            "pass allow_prime_mismatch=True to proceed anyway"
-        )
+    if prime_of_power(plane.order) != p:
+        raise PrimeMismatchError(f"plane order {plane.order} is not a power of {p}")
     rref, pivots = rref_mod_p(incidence_matrix(plane), p)
     return LinearCode(p, plane.npoints, rref)
 

@@ -43,7 +43,7 @@ class RecipeCheckError(ConstructError):
     """A constructed word lacks a property that its recipe guarantees."""
 
 
-def _scaled(w: CodeWord, plane: Plane, raw: bool) -> CodeWord:
+def _scaled(w: CodeWord, raw: bool) -> CodeWord:
     if raw or w.weight == 0:
         return w
     lead = int(w.values[w.support[0]])
@@ -56,17 +56,30 @@ def _check_line(plane: Plane, l: int) -> None:
         raise LineIndexError(f"line {l} is outside 0..{plane.npoints - 1}")
 
 
+def _set_diff(plane: Plane, pos, neg) -> CodeWord:
+    """Indicator of the points pos minus indicator of the points neg, over
+    GF(p) for p the characteristic of the plane's order; unscaled, unchecked."""
+    p = prime_of_power(plane.order)
+    return word_diff(indicator(pos, plane.npoints, p), indicator(neg, plane.npoints, p))
+
+
+def _disjoint_diff(plane: Plane, pos, neg, raw: bool, what: str) -> tuple[CodeWord, bool]:
+    """The difference of two disjoint point sets and its computed dual flag."""
+    shared = set(pos) & set(neg)
+    if shared:
+        raise NotDisjointError(f"{what} share points {sorted(shared)[:4]}")
+    w = _set_diff(plane, pos, neg)
+    dual, _ = is_dual_word(w, plane)
+    return _scaled(w, raw), dual
+
+
 def line_diff(plane: Plane, l1: int, l2: int, raw: bool = False) -> CodeWord:
     """Difference of two line indicator vectors: a dual word of weight 2n."""
     _check_line(plane, l1)
     _check_line(plane, l2)
     if l1 == l2:
         raise SameLineError("line_diff needs two distinct lines")
-    p = prime_of_power(plane.order)
-    w = word_diff(
-        indicator(plane.lines[l1], plane.npoints, p),
-        indicator(plane.lines[l2], plane.npoints, p),
-    )
+    w = _set_diff(plane, plane.lines[l1], plane.lines[l2])
     if w.weight != 2 * plane.order:
         raise RecipeCheckError(
             f"difference of two lines has weight {w.weight}, not {2 * plane.order}"
@@ -74,16 +87,7 @@ def line_diff(plane: Plane, l1: int, l2: int, raw: bool = False) -> CodeWord:
     ok, witness = is_dual_word(w, plane)
     if not ok:
         raise RecipeCheckError(f"difference of two lines is not orthogonal to line {witness}")
-    return _scaled(w, plane, raw)
-
-
-def _baer_minus_secant(plane: Plane, sub: SubplaneResult, secant: int, p: int) -> CodeWord:
-    """Indicator of the subplane minus indicator of the secant, unscaled and
-    unchecked; baer_diff checks it, extract_baer compares a word against it."""
-    return word_diff(
-        indicator(sub.points, plane.npoints, p),
-        indicator(plane.lines[secant], plane.npoints, p),
-    )
+    return _scaled(w, raw)
 
 
 def baer_diff(
@@ -93,7 +97,6 @@ def baer_diff(
     raw: bool = False,
 ) -> CodeWord:
     """Difference of a Baer subplane and one of its secants: weight 2p^2-p."""
-    p = prime_of_power(plane.order)
     if plane.order != sub.order * sub.order:
         raise NotSecantError(
             f"subplane of order {sub.order} is not a Baer subplane of a plane of order {plane.order}"
@@ -103,11 +106,11 @@ def baer_diff(
     _check_line(plane, secant)
     if len(set(plane.lines[secant]).intersection(sub.points)) != sub.order + 1:
         raise NotSecantError(f"line {secant} is not a secant of the subplane")
-    w = _baer_minus_secant(plane, sub, secant, p)
+    w = _set_diff(plane, sub.points, plane.lines[secant])
     ok, witness = is_dual_word(w, plane)
     if not ok:
         raise RecipeCheckError(f"Baer-minus-secant is not orthogonal to line {witness}")
-    return _scaled(w, plane, raw)
+    return _scaled(w, raw)
 
 
 def subplane_diff(
@@ -118,16 +121,7 @@ def subplane_diff(
 ) -> tuple[CodeWord, bool]:
     """Difference of two disjoint subplane indicators; dual flag is computed,
     not assumed (disjointness alone does not force duality)."""
-    s1, s2 = set(sub1.points), set(sub2.points)
-    if s1 & s2:
-        raise NotDisjointError(f"subplanes share points {sorted(s1 & s2)[:4]}")
-    p = prime_of_power(plane.order)
-    w = word_diff(
-        indicator(sub1.points, plane.npoints, p),
-        indicator(sub2.points, plane.npoints, p),
-    )
-    dual, _ = is_dual_word(w, plane)
-    return _scaled(w, plane, raw), dual
+    return _disjoint_diff(plane, sub1.points, sub2.points, raw, "subplanes")
 
 
 def antipodal_diff(
@@ -142,17 +136,7 @@ def antipodal_diff(
         ok, witness = verify_embedding(pls, plane, emb)
         if not ok:
             raise NotVerifiedEmbeddingError(f"embedding fails verification: {witness}")
-    pts1 = set(first[1].point_map)
-    pts2 = set(second[1].point_map)
-    if pts1 & pts2:
-        raise NotDisjointError(f"embeddings share points {sorted(pts1 & pts2)[:4]}")
-    p = prime_of_power(plane.order)
-    w = word_diff(
-        indicator(sorted(pts1), plane.npoints, p),
-        indicator(sorted(pts2), plane.npoints, p),
-    )
-    dual, _ = is_dual_word(w, plane)
-    return _scaled(w, plane, raw), dual
+    return _disjoint_diff(plane, first[1].point_map, second[1].point_map, raw, "embeddings")
 
 
 def disjoint_baer_pair(plane: Plane) -> tuple[SubplaneResult, SubplaneResult]:

@@ -140,7 +140,9 @@ def word_to_text(w: CodeWord) -> str:
 
 
 def _as_int(x) -> int:
-    """An integer from text or from an integer, never from a float."""
+    """An integer from text or from an integer, never from a float or a bool."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
     return int(x) if isinstance(x, str) else operator.index(x)
 
 
@@ -196,10 +198,14 @@ def word_to_json(w: CodeWord) -> dict:
 
 
 def word_from_json(obj: dict) -> CodeWord:
-    support = list(obj["support"].items())
-    return _support_word(
-        int(obj["p"]), int(obj["len"]), support, lambda i: f"support entry {support[i][0]!r}"
-    )
+    try:
+        p, length = _as_int(obj["p"]), _as_int(obj["len"])
+        support = list(obj["support"].items())
+        if p < 2 or length < 0:
+            raise ValueError
+    except (KeyError, TypeError, ValueError, AttributeError):
+        raise FormatError("expected {'p': p >= 2, 'len': L >= 0, 'support': {...}}") from None
+    return _support_word(p, length, support, lambda i: f"support entry {support[i][0]!r}")
 
 
 def write_word(w: CodeWord, path) -> None:

@@ -88,13 +88,12 @@ class Plane:
         self,
         order: int,
         lines: np.ndarray | list[tuple[int, ...]],  # one row of point indices per line
-        source: str,
         field: Field | None = None,
         coords: tuple[tuple[int, int, int], ...] | None = None,
     ):
         self.order = order
         self.npoints = N = order * order + order + 1
-        self.source = source
+        self.source = "ingested" if field is None else "generated"
         self.field = field
         self.coords = coords
         # the coordinates as an N x 3 array, for the vectorised collineations
@@ -138,12 +137,11 @@ class Plane:
     def point_index(self, coord: tuple[int, int, int]) -> int:
         """The index of the point with homogeneous coordinates coord, any
         nonzero triple of field element codes (not only the normalised one)."""
-        if self.field is None:
-            raise NotGeneratedError("plane has no coordinates")
-        q = self.field.q
+        field = _field_of(self, "point_index")
+        q = field.q
         if len(coord) != 3 or not any(coord) or not all(0 <= c < q for c in coord):
             raise GeometryError(f"{coord} is not a nonzero triple over GF({q})")
-        return int(_point_indices(self.field, *coord))
+        return int(_point_indices(field, *coord))
 
     def line_counts(self, points) -> np.ndarray:
         """For every line l, |l & S| (int64), where S is the set of the points:
@@ -248,7 +246,7 @@ def pg2(field: Field) -> Plane:
     pts += [(1, y, z) for y in range(q) for z in range(q)]
     coords = tuple(pts)
     lines = _pg2_lines(field, coords)  # its temporaries are freed before validation
-    return Plane(q, lines, "generated", field=field, coords=coords)
+    return Plane(q, lines, field=field, coords=coords)
 
 
 def _pg2_lines(field: Field, coords: tuple[tuple[int, int, int], ...]) -> np.ndarray:
@@ -278,14 +276,27 @@ def _point_indices(field: Field, x, y, z):
     return (x != 0) * (q + q * mul[s, y]) + ((x != 0) | (y != 0)) * (1 + mul[s, z])
 
 
+def _field_of(plane: Plane, what: str) -> Field:
+    """The field of a generated plane; an ingested plane raises."""
+    if plane.field is None:
+        raise NotGeneratedError(f"{what} needs a generated plane")
+    return plane.field
+
+
+def _half_degree(plane: Plane) -> int:
+    """h/2 for a generated plane of order p^h with h even."""
+    h = plane.field.h
+    if h % 2:
+        raise NotSquareOrderError(f"order {plane.order} is not a square of a subfield order")
+    return h // 2
+
+
 def collineation(plane: Plane, matrix, frob: int = 0) -> np.ndarray:
     """The point permutation g of x -> A x^(p^frob) on a generated PG(2,p^h):
     A is a nonsingular 3x3 matrix of field element codes, 0 <= frob < h, and
     g[i] is the index of the image of point i.  The image of a line is
     plane.pair_line()[g[a], g[b]] for any two distinct points a, b on it."""
-    if plane.source != "generated" or plane.field is None:
-        raise NotGeneratedError("collineations need a generated plane")
-    f = plane.field
+    f = _field_of(plane, "collineation")
     A = np.array(matrix, dtype=object)
     over_field = all(isinstance(a, (int, np.integer)) and 0 <= a < f.q for a in A.flat)
     if A.shape != (3, 3) or not over_field:
@@ -313,7 +324,7 @@ def plane_from_incidence(rows: list[list[int]], n: int) -> Plane:
         raise BadShapeError(f"ingestion is capped at order {INGEST_ORDER_CAP}, got {n}")
     if any(min(r) < -(2**31) or max(r) >= 2**31 for r in rows if len(r)):
         raise BadShapeError("a point index does not fit in 32 bits")
-    return Plane(n, rows, "ingested")
+    return Plane(n, rows)
 
 
 # -- subplanes -------------------------------------------------------------------
@@ -326,12 +337,8 @@ def baer_subfield_subplane(plane: Plane) -> SubplaneResult:
     order p^d: the points whose normalized coordinates are fixed by the
     half-order Frobenius.
     """
-    if plane.source != "generated" or plane.field is None:
-        raise NotGeneratedError("baer_subfield_subplane needs a generated plane")
-    f = plane.field
-    if f.h % 2 != 0:
-        raise NotSquareOrderError(f"order {plane.order} is not a square of a subfield order")
-    d = f.h // 2
+    f = _field_of(plane, "baer_subfield_subplane")
+    d = _half_degree(plane)
     fixed = collineation(plane, np.eye(3, dtype=np.int64), frob=d) == np.arange(plane.npoints)
     res = subplane_result_from_points(plane, frozenset(np.flatnonzero(fixed).tolist()), f.p**d)
     if res is None:
@@ -346,9 +353,7 @@ def singer_cycle(plane: Plane) -> np.ndarray:
     triples (c2, c1, c0) in lexicographic order) whose cycle through point 0
     has length N.  The cubics that qualify are the primitive ones (Singer
     1938); walking the cycle is the certificate."""
-    if plane.source != "generated" or plane.field is None:
-        raise NotGeneratedError("singer_cycle needs a generated plane")
-    f, N = plane.field, plane.npoints
+    f, N = _field_of(plane, "singer_cycle"), plane.npoints
     for c2, c1, c0 in itertools.product(range(f.q), range(f.q), range(1, f.q)):
         companion = [[0, 0, f.neg(c0)], [1, 0, f.neg(c1)], [0, 1, f.neg(c2)]]
         g = collineation(plane, companion)
@@ -371,12 +376,7 @@ def baer_partition(plane: Plane) -> list[SubplaneResult]:
     """The orbits of s^(m^2-m+1) on PG(2,m^2), s = singer_cycle(plane): the
     m^2-m+1 pairwise disjoint Baer subplanes that partition the points
     (Bruck 1960), each validated, listed in order of their least point."""
-    if plane.source != "generated" or plane.field is None:
-        raise NotGeneratedError("baer_partition needs a generated plane")
-    f = plane.field
-    if f.h % 2 != 0:
-        raise NotSquareOrderError(f"order {plane.order} is not a square of a subfield order")
-    m = f.p ** (f.h // 2)
+    m = _field_of(plane, "baer_partition").p ** _half_degree(plane)
     walk = _cycle(singer_cycle(plane).tolist(), 0)  # walk[k] is s^k(0), all N points
     step = m * m - m + 1
     members = []
@@ -548,8 +548,7 @@ def subplane_search(
 
 def fundamental_triangle(plane: Plane) -> tuple[int, int, int]:
     """Indices of (1,0,0), (0,1,0), (0,0,1) in a generated plane."""
-    if plane.source != "generated":
-        raise NotGeneratedError("slopes need a generated plane")
+    _field_of(plane, "fundamental_triangle")
     return (
         plane.point_index((1, 0, 0)),
         plane.point_index((0, 1, 0)),
@@ -572,8 +571,7 @@ def slope_from_coords(f: Field, vertex: int, pt: tuple[int, int, int]) -> int:
 
 def slope(plane: Plane, vertex: int, line: int) -> int:
     """Slope of a line of a generated plane through A1, A2 or A3."""
-    if plane.field is None:
-        raise NotGeneratedError("slopes need a generated plane")
+    _field_of(plane, "slope")
     if vertex not in (1, 2, 3):
         raise GeometryError(f"vertex must be 1, 2 or 3, got {vertex}")
     return _slope(plane, fundamental_triangle(plane), vertex, line)

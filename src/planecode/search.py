@@ -7,13 +7,13 @@ may well be joined by a plane line outside the image of the line map.
 
 The search backtracks over point images.  Line images are never searched:
 once two points of an abstract line are placed, its image is forced via
-line_through.  For generated Desarguesian planes the first four points of a
-qualifying seed are pinned to the standard frame (1,0,0), (0,1,0), (0,0,1),
-(1,1,1); this is sound because PGL(3,q) is sharply transitive on frames and
-the seed is chosen so that no three of its images can be collinear in any
-embedding.  For ingested planes normalization is disabled and the search is
-fully exhaustive.  "exhausted-none" is reported only when the whole
-(normalized) tree was traversed with no budget truncation.
+line_through.  On a generated Desarguesian plane searched without exclusions
+the four points of a qualifying seed are pinned to the standard frame
+(1,0,0), (0,1,0), (0,0,1), (1,1,1): PGL(3,q) is sharply transitive on frames,
+and no three seed images can be collinear in any embedding.  Ingested planes,
+partial linear spaces, exclusions (they break frame transitivity) and
+structures without a qualifying seed get the plain exhaustive search.
+"exhausted-none" means the whole (pinned) tree was traversed within budget.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .antipodal import AntipodalPlane, PartialLinearSpace, find_good_triangle, is_good_triangle
-from .geometry import NotGeneratedError, Plane, collineation, fundamental_triangle, slope_from_coords
+from .geometry import Plane, _field_of, collineation, fundamental_triangle, slope_from_coords
 
 DEFAULT_BUDGET = 10**9
 
@@ -132,7 +132,8 @@ def normalize_frame(pls: PartialLinearSpace) -> tuple[int, int, int, int]:
 
 class _Searcher:
     """Backtracking over point images into a target: a Plane, or a
-    PartialLinearSpace (whose line_through and meet may return None)."""
+    PartialLinearSpace (whose line_through and meet may return None).
+    The pinned points (point -> its one image) are placed first, in order."""
 
     def __init__(
         self,
@@ -141,7 +142,8 @@ class _Searcher:
         cap: int,
         budget: int,
         stats: SearchStats,
-        exclude: frozenset = frozenset(),
+        exclude: frozenset,
+        pinned: dict[int, int],
     ):
         self.pls = pls
         self.plane = plane
@@ -149,6 +151,7 @@ class _Searcher:
         self.budget = budget
         self.stats = stats
         self.exclude = exclude
+        self.pinned = pinned
         self.np_ = pls.n_points
         self.nl = len(pls.lines)
         self.pmap = [-1] * self.np_
@@ -232,8 +235,12 @@ class _Searcher:
     # -- search ------------------------------------------------------------------
 
     def next_point(self) -> int | None:
-        """Fail-first: most determined incident lines, then most half-placed
-        lines (placing such a point forces several line images at once)."""
+        """The first unplaced pinned point; then fail-first: most determined
+        incident lines, then most half-placed lines (placing such a point
+        forces several line images at once)."""
+        for p in self.pinned:
+            if self.pmap[p] < 0:
+                return p
         best, best_score = None, (-1, -1)
         for p in range(self.np_):
             if self.pmap[p] >= 0:
@@ -250,6 +257,8 @@ class _Searcher:
         return best
 
     def candidates(self, p: int) -> list[int]:
+        if p in self.pinned:
+            return [self.pinned[p]]
         det = [self.lmap[li] for li in self.pls.point_lines[p] if self.lmap[li] >= 0]
         if len(det) >= 2:
             x = self.plane.meet(det[0], det[1])
@@ -289,56 +298,32 @@ def embed_search(
     plane: Plane,
     cap: int = 1,
     budget: int = DEFAULT_BUDGET,
-    normalize: bool | None = None,
     exclude: frozenset = frozenset(),
 ) -> SearchOutcome:
     """Decide embeddability; see the module docstring for the contract.
 
-    exclude bars a set of plane points from use as images; it disables
-    frame normalization (excluding points breaks frame transitivity).
-    The target may also be a PartialLinearSpace, which is searched as a
-    plane that is not generated (no frame normalization).
+    exclude bars a set of plane points from use as images.  The target may
+    also be a PartialLinearSpace; like an ingested plane, it gets the plain
+    search.
     """
     if cap < 1:
         raise SearchError(f"cap must be at least 1, got {cap}")
     n_target = len(plane.point_lines)
     if any(not 0 <= v < n_target for v in exclude):
         raise SearchError(f"an excluded point is outside 0..{n_target - 1}")
-    generated = getattr(plane, "source", None) == "generated"  # a PLS has no source
-    if normalize is None:
-        normalize = generated and not exclude
-    if normalize and not generated:
-        raise SearchError("frame normalization needs a generated plane")
-    if normalize and exclude:
-        raise SearchError("frame normalization cannot be combined with exclusions")
     stats = SearchStats()
     t0 = time.perf_counter()
-    searcher = _Searcher(pls, plane, cap, budget, stats, frozenset(exclude))
-
-    seed_plan: list[tuple[int, int]] = []
-    if normalize:
+    pinned = {}
+    if plane.source == "generated" and not exclude:
         try:
-            seed = normalize_frame(pls)
-        except NoQuadrangleError:
-            seed = None  # fall back to the plain exhaustive search
-        if seed is not None:
             frame = (*fundamental_triangle(plane), plane.point_index((1, 1, 1)))
-            seed_plan = list(zip(seed, frame))
-
+            pinned = dict(zip(normalize_frame(pls), frame))
+        except NoQuadrangleError:
+            pass  # no frame-safe seed: the plain exhaustive search
+    searcher = _Searcher(pls, plane, cap, budget, stats, frozenset(exclude), pinned)
     status = "exhausted-none"
     try:
-        journals = []
-        feasible = True
-        for p, v in seed_plan:
-            j = searcher.assign(p, v)
-            if j is None:
-                feasible = False
-                break
-            journals.append(j)
-        if feasible:
-            searcher.dfs()
-        for j in reversed(journals):
-            searcher.undo(j)
+        searcher.dfs()
     except _CapReached:
         pass
     except BudgetExceeded:
@@ -380,9 +365,7 @@ def slope_certificate(
     triangle is moved onto the fundamental one by a collineation); the
     product does not.
     """
-    f = plane.field
-    if f is None:
-        raise NotGeneratedError("slope certificates need a generated plane")
+    f = _field_of(plane, "slope_certificate")
     pls = ap.pls
     ok, witness = verify_embedding(pls, plane, emb)
     if not ok:

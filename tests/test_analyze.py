@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -206,8 +207,8 @@ def test_extract_antipodal_open_experiment(pg9):
         assert ap1.order == ap2.order == 2
         assert set(pts1) | set(pts2) == set(w.support.tolist())
     else:
-        with pytest.raises(StructureMismatchError):
-            extract_antipodal(w, pg9, override_non_dual=True)
+        with pytest.raises(NotDualWordError):
+            extract_antipodal(w, pg9)
 
 
 def test_fuzz_no_false_positive_on_shuffled_words(pg9):
@@ -222,8 +223,8 @@ def test_fuzz_no_false_positive_on_shuffled_words(pg9):
             continue
         a = analyze(w, pg9, override_non_dual=True)
         assert a.classification == "none"
-        with pytest.raises((StructureMismatchError, NotDualWordError)):
-            extract_baer(w, pg9, override_non_dual=True)
+        with pytest.raises(NotDualWordError):
+            extract_baer(w, pg9)
 
 
 def test_canonicalization_prefers_min_x_in_top_colour(pg9):
@@ -235,19 +236,21 @@ def test_canonicalization_prefers_min_x_in_top_colour(pg9):
 
 
 def test_extract_antipodal_class_scan_matches_reference(pg9, monkeypatch):
-    # No dual antipodal word is known here, so force the classification of
-    # two disjoint Mobius-Kantor configurations to run the class scans.
+    # No dual antipodal word is known here, so let the analyzer take the
+    # non-dual difference of two disjoint Mobius-Kantor configurations and
+    # force its classification, to run the class scans.
     import planecode.analyze as analyzer
     from planecode.antipodal import PartialLinearSpace, cyclic_antipodal
     from planecode.construct import antipodal_diff
     from planecode.search import embed_search
 
     monkeypatch.setattr(analyzer, "_classify", lambda a: "antipodal")
+    monkeypatch.setattr(analyzer, "analyze", functools.partial(analyze, override_non_dual=True))
     mk = cyclic_antipodal(2)
     for e1 in embed_search(mk, pg9, cap=2).embeddings:
         e2 = embed_search(mk, pg9, exclude=frozenset(e1.point_map)).embeddings[0]
         w, _ = antipodal_diff(pg9, (mk, e1), (mk, e2))
-        got = extract_antipodal(w, pg9, override_non_dual=True)
+        got = extract_antipodal(w, pg9)
         c = analyze(w, pg9, override_non_dual=True).canonical
         for (pts, ap), lam in zip(got, (1, 2)):
             want = np.flatnonzero(c.values == lam).tolist()

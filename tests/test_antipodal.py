@@ -102,7 +102,7 @@ def test_isomorphism_search_counts_are_pinned():
     # a partial linear space as the target: two placed images may have no
     # join, or a forced line image may miss a later point of its source
     # line; both count as incidence prunes
-    out = search.embed_search(antipodal_from_pg24(), cyclic_antipodal(3), normalize=False)
+    out = search.embed_search(antipodal_from_pg24(), cyclic_antipodal(3))
     assert out.status == "found"
     assert out.stats.nodes == 34
     assert out.stats.prunes == {
@@ -117,7 +117,7 @@ def test_isomorphism_rejects_different_structures():
 @pytest.mark.parametrize("order,automorphisms", [(2, 48), (3, 336)])
 def test_isomorphism_engine_finds_every_automorphism(order, automorphisms):
     x = cyclic_antipodal(order)
-    out = search.embed_search(x, x, normalize=False, cap=10**6)
+    out = search.embed_search(x, x, cap=10**6)
     assert out.status == "found"
     assert len(out.embeddings) == automorphisms
     assert len({e.point_map for e in out.embeddings}) == automorphisms

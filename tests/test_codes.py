@@ -277,7 +277,6 @@ def test_code_dimension_formula(planes, q, p, dim):
 def test_prime_mismatch(planes):
     with pytest.raises(PrimeMismatchError):
         code_of_plane(planes[9], 2)
-    code_of_plane(planes[9], 2, allow_prime_mismatch=True)
 
 
 @pytest.mark.parametrize("q,p,ddim", [(2, 2, 3), (4, 2, 11), (9, 3, 54)])

@@ -130,11 +130,31 @@ def test_word_text_rejects_bad_entries(body, line, why):
         ({"a": 1}, "malformed entry"),
         ({"1": None}, "malformed entry"),
         ({"1": 2.5}, "malformed entry"),
+        ({"1": True}, "malformed entry"),
     ],
 )
 def test_word_json_rejects_bad_entries(support, why):
     with pytest.raises(formats.FormatError, match=why):
         formats.word_from_json({"p": 3, "len": 13, "support": support})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"p": 1, "len": 13, "support": {}},
+        {"p": True, "len": 13, "support": {}},
+        {"p": 3.0, "len": 13, "support": {}},
+        {"p": 3, "len": 3.7, "support": {}},
+        {"p": 3, "len": True, "support": {}},
+        {"p": 3, "len": 13},
+        {"p": 3, "len": 13, "support": [["0", 1]]},
+        {"p": "x", "len": 13, "support": {}},
+        {"p": 3, "len": -2, "support": {}},
+    ],
+)
+def test_word_json_rejects_bad_header(obj):
+    with pytest.raises(formats.FormatError, match=r"^expected \{'p': p >= 2, 'len': L >= 0"):
+        formats.word_from_json(obj)
 
 
 @pytest.mark.parametrize(
@@ -319,6 +339,33 @@ def test_cli_threads_flag_is_gone(before):
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
+
+
+def test_cli_no_normalize_flag_is_gone():
+    # frame pinning follows from the target; a plane file gets the plain search
+    with pytest.raises(SystemExit) as e:
+        main(["embed", "--pls", "builtin:mk", "--field", "3", "--no-normalize"])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("source", [[], ["--field", "2", "--plane", "pg9.plane"]])
+def test_cli_needs_exactly_one_plane_source(source):
+    with pytest.raises(SystemExit) as e:
+        main(["code", "dim", "--p", "2", *source])
+    assert e.value.code == 2
+
+
+def test_cli_modulus_with_a_plane_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "pg3.plane"
+    formats.write_plane(pg2(field_new(3)), path)
+    argv = ["code", "dim", "--p", "3", "--plane", str(path)]
+    code, record = run_cli(capsys, *argv, "--modulus", "1,1,1")
+    assert code == 1
+    assert record["outcome"]["error"] == "CliError"
+    assert "--modulus" in record["outcome"]["message"]
+    code, record = run_cli(capsys, *argv)
+    assert code == 0
+    assert record["outcome"] == {"dimension": 7, "length": 13}
 
 
 def test_cli_record_determinism(tmp_path, capsys):

@@ -11,7 +11,18 @@ from planecode.antipodal import (
 import numpy as np
 
 from planecode.field import field_new
-from planecode.geometry import GeometryError, baer_subfield_subplane, collineation, pg2
+from planecode.geometry import (
+    GeometryError,
+    NotGeneratedError,
+    baer_partition,
+    baer_subfield_subplane,
+    collineation,
+    fundamental_triangle,
+    plane_from_incidence,
+    pg2,
+    singer_cycle,
+    slope,
+)
 from planecode.search import (
     Embedding,
     NoQuadrangleError,
@@ -34,6 +45,12 @@ def plane_of(q):
     )
 
 
+def ingested(plane):
+    """The same plane read from its incidence rows: same indices, no field,
+    so the search on it is the plain one."""
+    return plane_from_incidence(plane.lines, plane.order)
+
+
 def test_normalize_frame_mk_matches_hand_derived_seed():
     # triples {0,1,3}-style collinearities single out (P1, P2, P3, P6)
     assert normalize_frame(MK) == (0, 1, 2, 5)
@@ -51,14 +68,11 @@ def test_normalize_frame_single_line_fails():
 
 
 def test_pls_target_default_is_plain_search():
-    default = embed_search(MK, MK, cap=100)
-    plain = embed_search(MK, MK, cap=100, normalize=False)
-    assert default.status == plain.status == "found"
-    assert default.embeddings == plain.embeddings
-    assert len(default.embeddings) == 48  # the automorphisms of the Moebius-Kantor configuration
-    assert default.stats.nodes == plain.stats.nodes
-    with pytest.raises(SearchError):
-        embed_search(MK, MK, normalize=True)
+    out = embed_search(MK, MK, cap=100)
+    assert out.status == "found"
+    assert len(out.embeddings) == 48  # the automorphisms of the Moebius-Kantor configuration
+    assert out.stats.nodes == 592
+    assert MK.source == "abstract"
 
 
 def test_mk_embeds_in_pg27():
@@ -104,14 +118,14 @@ def test_budget_exceeded_is_not_mislabeled():
 
 def test_plain_search_counts_are_pinned():
     # every embedding of MK into PG(2,3), with the engine's work counted
-    out = embed_search(MK, plane_of(3), normalize=False, cap=10**6)
+    out = embed_search(MK, ingested(plane_of(3)), cap=10**6)
     assert out.status == "found"
     assert len(out.embeddings) == 5616
     assert out.stats.nodes == 31681
     assert out.stats.prunes == {
         "injectivity": 0, "incidence": 0, "non_incidence": 5928, "line_injectivity": 0,
     }
-    out = embed_search(AP3, plane_of(5), normalize=False, budget=100_000)
+    out = embed_search(AP3, ingested(plane_of(5)), budget=100_000)
     assert out.status == "budget-exceeded"
     assert out.embeddings == []
     assert out.stats.nodes == 100_001
@@ -185,8 +199,8 @@ if os.environ.get("PLANECODE_XVAL_FULL"):
 )
 def test_normalized_and_plain_search_agree(pls, q):
     plane = plane_of(q)
-    norm = embed_search(pls, plane, normalize=True)
-    plain = embed_search(pls, plane, normalize=False, budget=10**10)
+    norm = embed_search(pls, plane)
+    plain = embed_search(pls, ingested(plane), budget=10**10)
     assert norm.status in ("found", "exhausted-none")
     assert plain.status in ("found", "exhausted-none")
     assert (norm.status == "found") == (plain.status == "found")
@@ -281,6 +295,30 @@ def test_collineations_move_a_frame_embedding_to_embeddings(pls, q):
         if pls is AP3:
             assert slope_certificate(validate_antipodal(AP3), plane, image).holds
         moved += 1
+
+
+PG4 = plane_of(4)
+A1_CEVIAN = PG4.line_through(PG4.point_index((1, 0, 0)), PG4.point_index((1, 1, 1)))
+GENERATED_ONLY = {
+    "point_index": lambda pl, emb: pl.point_index((1, 0, 0)),
+    "collineation": lambda pl, emb: collineation(pl, np.eye(3, dtype=np.int64)),
+    "baer_subfield_subplane": lambda pl, emb: baer_subfield_subplane(pl),
+    "singer_cycle": lambda pl, emb: singer_cycle(pl),
+    "baer_partition": lambda pl, emb: baer_partition(pl),
+    "fundamental_triangle": lambda pl, emb: fundamental_triangle(pl),
+    "slope": lambda pl, emb: slope(pl, 1, A1_CEVIAN),
+    "mobius_kantor_pls": lambda pl, emb: mobius_kantor_pls(pl),
+    "slope_certificate": lambda pl, emb: slope_certificate(validate_antipodal(AP3), pl, emb),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED_ONLY)
+def test_generated_only_entry_points_refuse_an_ingested_plane(name):
+    # each works on PG(2,4) itself; its ingested copy has the same incidences
+    emb = embed_search(AP3, PG4).embeddings[0]
+    GENERATED_ONLY[name](PG4, emb)
+    with pytest.raises(NotGeneratedError, match=f"{name} needs a generated plane"):
+        GENERATED_ONLY[name](ingested(PG4), emb)
 
 
 @pytest.mark.parametrize("cap", [0, -5])

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import planecode
@@ -237,3 +238,21 @@ def test_quadrangle_closures_only_in_geometry_and_without_avoid():
     assert _closure_outside_geometry_or_avoid(caller, "construct.py") == ["construct.py:1"]
     steer = "def _closure(join, meet, seed, cap, min_point, avoid):\n    pass\n"
     assert _closure_outside_geometry_or_avoid(steer, "geometry.py") == ["geometry.py:1"]
+
+
+def test_options_the_code_works_out_stay_deleted():
+    # frame pinning follows from the target, a plane's source from its field,
+    # and a word the analyzer refuses as non-dual cannot be extracted from
+    from planecode.analyze import extract_antipodal, extract_baer
+    from planecode.codes import code_of_plane
+    from planecode.geometry import Plane
+    from planecode.search import embed_search
+
+    removed = {
+        embed_search: "normalize",
+        code_of_plane: "allow_prime_mismatch",
+        extract_baer: "override_non_dual",
+        extract_antipodal: "override_non_dual",
+        Plane.__init__: "source",
+    }
+    assert [name for f, name in removed.items() if name in inspect.signature(f).parameters] == []
