@@ -11,6 +11,7 @@ set in any PG(2,q) with a root of x^2 - x + 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .field import Field
@@ -70,16 +71,12 @@ class PartialLinearSpace:
         self.point_lines = tuple(tuple(x) for x in pl)
 
     def collinear(self, p: int, q: int) -> bool:
-        if p == q:
-            return True
-        a, b = (p, q) if p < q else (q, p)
-        return (a, b) in self.pair_line
+        return p == q or self.line_through(p, q) is not None
 
-    def line_of(self, p: int, q: int) -> int | None:
+    def line_through(self, p: int, q: int) -> int | None:
+        """The line joining two points, or None if they are not collinear."""
         a, b = (p, q) if p < q else (q, p)
         return self.pair_line.get((a, b))
-
-    line_through = line_of  # the join under Plane's name, for the search engine
 
     def meet(self, l1: int, l2: int) -> int | None:
         """The common point of two distinct lines, or None if they are disjoint."""
@@ -172,25 +169,19 @@ def antipodal_from_pg24() -> PartialLinearSpace:
     return PartialLinearSpace(len(keep_pts), _restricted_lines(plane, keep_pts, 4))
 
 
-def mobius_kantor_points(
-    f: Field, omega: int | None = None
-) -> tuple[tuple[int, int, int], ...]:
-    """The eight Mobius-Kantor points over a field with a root of x^2-x+1.
+def mobius_kantor_points(f: Field) -> tuple[tuple[int, int, int], ...]:
+    """The eight Mobius-Kantor points over a field with a root of x^2-x+1;
+    w is the root with the least element code.
 
     Order matters: it matches the circulant incidence matrix of order 2,
     lines being {i, i+1, i+3} mod 8 over these positions.
     """
     roots = f.solve_monic_quadratic(f.neg(1), 1)
-    if omega is None:
-        if not roots:
-            raise NotARootError(
-                f"x^2-x+1 has no root in GF({f.p}^{f.h}); "
-                "need q = 3^h or 3 | q-1"
-            )
-        omega = roots[0]
-    elif omega not in roots:
-        raise NotARootError(f"{omega} is not a root of x^2-x+1")
-    w = omega
+    if not roots:
+        raise NotARootError(
+            f"x^2-x+1 has no root in GF({f.p}^{f.h}); need q = 3^h or 3 | q-1"
+        )
+    w = roots[0]
     pts = (
         (1, 0, 0),
         (0, 1, 0),
@@ -204,9 +195,7 @@ def mobius_kantor_points(
     return pts
 
 
-def mobius_kantor_pls(
-    plane: Plane, omega: int | None = None
-) -> tuple[PartialLinearSpace, tuple[int, ...]]:
+def mobius_kantor_pls(plane: Plane) -> tuple[PartialLinearSpace, tuple[int, ...]]:
     """The Mobius-Kantor configuration induced inside a generated plane.
 
     Returns the abstract order-2 antipodal plane (point i = i-th listed
@@ -214,7 +203,7 @@ def mobius_kantor_pls(
     contain three of the points; that is verified.
     """
     f = _field_of(plane, "mobius_kantor_pls")
-    pts = [plane.point_index(c) for c in mobius_kantor_points(f, omega)]
+    pts = [plane.point_index(c) for c in mobius_kantor_points(f)]
     if len(set(pts)) != 8:
         raise AntipodalError("Mobius-Kantor points are not distinct in this plane")
     counts = plane.line_counts(pts)
@@ -232,25 +221,15 @@ def find_good_triangle(ap: AntipodalPlane) -> tuple[int, int, int]:
     the sides.  Exists whenever the order is at least 3."""
     if ap.order < 3:
         raise AntipodalError("a good triangle needs order at least 3")
-    pls = ap.pls
-    n = pls.n_points
-    for a in range(n):
-        for b in range(a + 1, n):
-            lab = pls.line_of(a, b)
-            if lab is None:
-                continue
-            for c in range(b + 1, n):
-                lac, lbc = pls.line_of(a, c), pls.line_of(b, c)
-                if lac is None or lbc is None or lac == lab or lbc == lab:
-                    continue
-                if is_good_triangle(ap, a, b, c):
-                    return (a, b, c)
+    for a, b, c in itertools.combinations(range(ap.pls.n_points), 3):
+        if is_good_triangle(ap, a, b, c):
+            return (a, b, c)
     raise AntipodalError("no good triangle found; this is a bug for order >= 3")
 
 
 def is_good_triangle(ap: AntipodalPlane, a: int, b: int, c: int) -> bool:
     pls = ap.pls
-    lab, lac, lbc = pls.line_of(a, b), pls.line_of(a, c), pls.line_of(b, c)
+    lab, lac, lbc = pls.line_through(a, b), pls.line_through(a, c), pls.line_through(b, c)
     if lab is None or lac is None or lbc is None:
         return False
     if len({lab, lac, lbc}) != 3:

@@ -9,10 +9,8 @@ with a structured error in the record, success exits 0.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
 from . import acceptance, formats
 from .analyze import analyze as analyze_word
@@ -30,7 +28,7 @@ from .geometry import (
     pg2,
     subplane_result_from_points,
 )
-from .search import DEFAULT_BUDGET, Embedding, embed_search
+from .search import DEFAULT_BUDGET, embed_search
 
 
 class CliError(ValueError):
@@ -128,12 +126,12 @@ def cmd_construct(args) -> dict:
         if len(lines) != 2:
             raise CliError(f"--lines needs two line indices, got {len(lines)}")
         l1, l2 = lines
-        w = line_diff(plane, l1, l2, raw=args.raw)
+        w = line_diff(plane, l1, l2)
         return _word_record(args, w, {"recipe": "line-diff", "lines": [l1, l2], "dual": True})
     if args.recipe == "baer-diff":
         sub = baer_subfield_subplane(plane)
         secant = args.secant if args.secant is not None else sub.lines[0]
-        w = baer_diff(plane, sub, secant=secant, raw=args.raw)
+        w = baer_diff(plane, sub, secant=secant)
         return _word_record(
             args, w,
             {"recipe": "baer-diff", "subplane_order": sub.order, "secant": secant, "dual": True},
@@ -141,14 +139,11 @@ def cmd_construct(args) -> dict:
     if args.recipe == "subplane-diff":
         s1 = _subplane_from_arg(plane, args.points1, "--points1")
         s2 = _subplane_from_arg(plane, args.points2, "--points2")
-        w, dual = subplane_diff(plane, s1, s2, raw=args.raw)
+        w, dual = subplane_diff(plane, s1, s2)
         return _word_record(args, w, {"recipe": "subplane-diff", "dual": dual})
     pls = _load_pls(args.pls)  # recipe == "antipodal-diff"
-    embs = []
-    for path in (args.emb1, args.emb2):
-        obj = json.loads(Path(path).read_text())
-        embs.append(Embedding(tuple(obj["point_map"]), tuple(obj["line_map"])))
-    w, dual = antipodal_diff(plane, (pls, embs[0]), (pls, embs[1]), raw=args.raw)
+    first, second = (formats.read_embedding(path) for path in (args.emb1, args.emb2))
+    w, dual = antipodal_diff(plane, (pls, first), (pls, second))
     return _word_record(args, w, {"recipe": "antipodal-diff", "dual": dual})
 
 
@@ -195,14 +190,9 @@ def cmd_embed(args) -> dict:
         "seconds": round(out.stats.seconds, 3),
     }
     if out.embeddings:
-        first = out.embeddings[0]
-        record["first_embedding"] = {
-            "point_map": list(first.point_map),
-            "line_map": list(first.line_map),
-        }
+        record["first_embedding"] = formats.embedding_to_json(out.embeddings[0])
         if args.emb_out:
-            with open(args.emb_out, "w") as fh:
-                json.dump(record["first_embedding"], fh, indent=2)
+            formats.write_embedding(out.embeddings[0], args.emb_out)
     return record
 
 
@@ -273,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("line-diff", "baer-diff", "subplane-diff", "antipodal-diff"):
         x = ka.add_parser(name, parents=[common])
         _add_plane_source(x)
-        x.add_argument("--raw", action="store_true", help="skip leading-symbol scaling")
         x.add_argument("--word-out", dest="word_out", help="write the word file here")
         if name == "line-diff":
             x.add_argument("--lines", help='two line indices, e.g. "0,1"')

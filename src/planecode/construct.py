@@ -6,8 +6,9 @@ difference of two disjoint subplanes, and difference of two disjointly
 embedded antipodal planes.  The last two compute their dual flag by a full
 orthogonality check and never assert it.
 
-Constructed words are scaled so the lowest-index nonzero symbol is 1
-(raw=True skips that), since everything downstream works up to scalars.
+Every recipe returns its word scaled so that the lowest-index nonzero
+symbol is 1: a set difference is determined up to sign, and everything
+downstream works up to scalars.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class RecipeCheckError(ConstructError):
     """A constructed word lacks a property that its recipe guarantees."""
 
 
-def _scaled(w: CodeWord, raw: bool) -> CodeWord:
-    if raw or w.weight == 0:
+def _scaled(w: CodeWord) -> CodeWord:
+    if w.weight == 0:
         return w
     lead = int(w.values[w.support[0]])
     return w.scale(pow(lead, w.p - 2, w.p))
@@ -63,17 +64,17 @@ def _set_diff(plane: Plane, pos, neg) -> CodeWord:
     return word_diff(indicator(pos, plane.npoints, p), indicator(neg, plane.npoints, p))
 
 
-def _disjoint_diff(plane: Plane, pos, neg, raw: bool, what: str) -> tuple[CodeWord, bool]:
+def _disjoint_diff(plane: Plane, pos, neg, what: str) -> tuple[CodeWord, bool]:
     """The difference of two disjoint point sets and its computed dual flag."""
     shared = set(pos) & set(neg)
     if shared:
         raise NotDisjointError(f"{what} share points {sorted(shared)[:4]}")
     w = _set_diff(plane, pos, neg)
     dual, _ = is_dual_word(w, plane)
-    return _scaled(w, raw), dual
+    return _scaled(w), dual
 
 
-def line_diff(plane: Plane, l1: int, l2: int, raw: bool = False) -> CodeWord:
+def line_diff(plane: Plane, l1: int, l2: int) -> CodeWord:
     """Difference of two line indicator vectors: a dual word of weight 2n."""
     _check_line(plane, l1)
     _check_line(plane, l2)
@@ -87,15 +88,10 @@ def line_diff(plane: Plane, l1: int, l2: int, raw: bool = False) -> CodeWord:
     ok, witness = is_dual_word(w, plane)
     if not ok:
         raise RecipeCheckError(f"difference of two lines is not orthogonal to line {witness}")
-    return _scaled(w, raw)
+    return _scaled(w)
 
 
-def baer_diff(
-    plane: Plane,
-    sub: SubplaneResult,
-    secant: int | None = None,
-    raw: bool = False,
-) -> CodeWord:
+def baer_diff(plane: Plane, sub: SubplaneResult, secant: int | None = None) -> CodeWord:
     """Difference of a Baer subplane and one of its secants: weight 2p^2-p."""
     if plane.order != sub.order * sub.order:
         raise NotSecantError(
@@ -110,25 +106,21 @@ def baer_diff(
     ok, witness = is_dual_word(w, plane)
     if not ok:
         raise RecipeCheckError(f"Baer-minus-secant is not orthogonal to line {witness}")
-    return _scaled(w, raw)
+    return _scaled(w)
 
 
 def subplane_diff(
-    plane: Plane,
-    sub1: SubplaneResult,
-    sub2: SubplaneResult,
-    raw: bool = False,
+    plane: Plane, sub1: SubplaneResult, sub2: SubplaneResult
 ) -> tuple[CodeWord, bool]:
     """Difference of two disjoint subplane indicators; dual flag is computed,
     not assumed (disjointness alone does not force duality)."""
-    return _disjoint_diff(plane, sub1.points, sub2.points, raw, "subplanes")
+    return _disjoint_diff(plane, sub1.points, sub2.points, "subplanes")
 
 
 def antipodal_diff(
     plane: Plane,
     first: tuple[PartialLinearSpace, Embedding],
     second: tuple[PartialLinearSpace, Embedding],
-    raw: bool = False,
 ) -> tuple[CodeWord, bool]:
     """Difference of the point images of two disjointly embedded antipodal
     planes; dual flag computed by the full orthogonality check."""
@@ -136,7 +128,7 @@ def antipodal_diff(
         ok, witness = verify_embedding(pls, plane, emb)
         if not ok:
             raise NotVerifiedEmbeddingError(f"embedding fails verification: {witness}")
-    return _disjoint_diff(plane, first[1].point_map, second[1].point_map, raw, "embeddings")
+    return _disjoint_diff(plane, first[1].point_map, second[1].point_map, "embeddings")
 
 
 def disjoint_baer_pair(plane: Plane) -> tuple[SubplaneResult, SubplaneResult]:

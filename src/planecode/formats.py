@@ -5,6 +5,7 @@ Plane files:   "plane n=<n> points=<N> lines=<N>" then one line of sorted
 PLS files:     "pls points=<N> lines=<M>" then one line per structure line.
 Word files:    "word p=<p> len=<L>" then "pos:value" pairs for the support,
                sorted by position; a JSON mirror is provided for tooling.
+Embeddings:    JSON {"point_map": [...], "line_map": [...]}, integer lists.
 
 Exporters and ingesters are exact inverses on the textual relation; all
 machine output elsewhere is JSON.
@@ -23,6 +24,7 @@ import numpy as np
 from .antipodal import PartialLinearSpace
 from .codes import CodeWord
 from .geometry import Plane, plane_from_incidence
+from .search import Embedding
 
 
 class FormatError(ValueError):
@@ -58,8 +60,8 @@ def _parse_header(text: str, usage: str) -> tuple[int, dict[str, int], list]:
 
 def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], list]:
     """The header and the integer point rows of a plane or pls file; every
-    point index must lie below the header's points=, and the number of rows
-    must equal its lines=."""
+    point index must lie below the header's points=, no row may repeat a
+    point, and the number of rows must equal its lines=."""
     line, fields, body = _parse_header(text, usage)
     npoints = fields["points"]
     rows = []
@@ -72,6 +74,8 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], list]:
             raise FormatError(
                 f"line {n}: point index outside 0..{npoints - 1} in {entry.strip()!r}"
             )
+        if len(set(row)) != len(row):
+            raise FormatError(f"line {n}: repeated point in {entry.strip()!r}")
         rows.append(row)
     if len(rows) != fields["lines"]:
         raise FormatError(
@@ -214,6 +218,44 @@ def write_word(w: CodeWord, path) -> None:
 
 def read_word(path) -> CodeWord:
     return word_from_text(Path(path).read_text())
+
+
+# -- embeddings --------------------------------------------------------------------
+
+
+def embedding_to_json(emb: Embedding) -> dict:
+    return {"point_map": list(emb.point_map), "line_map": list(emb.line_map)}
+
+
+def embedding_from_json(obj) -> Embedding:
+    """The embedding in an object of two integer lists, point_map and
+    line_map; their range and injectivity are verify_embedding's to check."""
+    maps = []
+    for key in ("point_map", "line_map"):
+        entries = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(entries, list):
+            raise FormatError(f"expected an object whose {key!r} is a list of integers")
+        for i, x in enumerate(entries):
+            try:
+                if isinstance(x, str):  # _as_int reads text; a JSON list holds numbers
+                    raise TypeError
+                _as_int(x)
+            except TypeError:
+                raise FormatError(f"{key} entry {i}: {x!r} is not an integer") from None
+        maps.append(tuple(entries))
+    return Embedding(*maps)
+
+
+def write_embedding(emb: Embedding, path) -> None:
+    Path(path).write_text(json.dumps(embedding_to_json(emb), indent=2))
+
+
+def read_embedding(path) -> Embedding:
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise FormatError(f"line {e.lineno}: {e.msg}") from None
+    return embedding_from_json(obj)
 
 
 # -- run records -------------------------------------------------------------------

@@ -82,22 +82,26 @@ class SubplaneSearchOutcome:
 
 
 class Plane:
-    """Immutable projective plane of order n; queries are read-only."""
+    """Immutable projective plane of order n; queries are read-only.
+
+    With a field, whose q must be n, the plane is generated: point i has the
+    coordinates of point i of pg2(field).  Without one it is ingested."""
 
     def __init__(
         self,
         order: int,
         lines: np.ndarray | list[tuple[int, ...]],  # one row of point indices per line
         field: Field | None = None,
-        coords: tuple[tuple[int, int, int], ...] | None = None,
     ):
+        if field is not None and field.q != order:
+            raise GeometryError(f"a plane of order {order} cannot be over GF({field.q})")
         self.order = order
         self.npoints = N = order * order + order + 1
         self.source = "ingested" if field is None else "generated"
         self.field = field
-        self.coords = coords
+        self.coords = None if field is None else _pg2_coords(order)
         # the coordinates as an N x 3 array, for the vectorised collineations
-        self.coords_arr = None if coords is None else np.array(coords, dtype=np.int64)
+        self.coords_arr = None if field is None else np.array(self.coords, dtype=np.int64)
         self.lines_arr = _checked_lines(lines, order)
         self.lines = _int_rows(self.lines_arr, N)
         # a stable sort of the incidences by point keeps each point's lines ascending
@@ -240,17 +244,22 @@ def _int_rows(arr: np.ndarray, N: int) -> tuple[tuple[int, ...], ...]:
 
 def pg2(field: Field) -> Plane:
     """The Desarguesian plane PG(2,q) with deterministic lexicographic indexing."""
-    q = field.q
+    lines = _pg2_lines(field)  # its temporaries are freed before validation
+    return Plane(field.q, lines, field)
+
+
+def _pg2_coords(q: int) -> tuple[tuple[int, int, int], ...]:
+    """The normalised coordinate triples of the points of PG(2,q) in index
+    order: (0,0,1), then (0,1,z), then (1,y,z), each lexicographically."""
     pts: list[tuple[int, int, int]] = [(0, 0, 1)]
     pts += [(0, 1, z) for z in range(q)]
     pts += [(1, y, z) for y in range(q) for z in range(q)]
-    coords = tuple(pts)
-    lines = _pg2_lines(field, coords)  # its temporaries are freed before validation
-    return Plane(q, lines, field=field, coords=coords)
+    return tuple(pts)
 
 
-def _pg2_lines(field: Field, coords: tuple[tuple[int, int, int], ...]) -> np.ndarray:
-    """The point indices on each line of PG(2,q), unsorted; line i is coords[i]."""
+def _pg2_lines(field: Field) -> np.ndarray:
+    """The point indices on each line of PG(2,q), unsorted; line i has the
+    coordinates of point i (_pg2_coords)."""
     q = field.q
     mul, add, neg = field._mul_t, field._add_t, field._neg_t.tolist()
     # kernel basis v1, v2 of a*x + b*y + c*z = 0; the line's points are v2 and t*v2 + v1
@@ -258,7 +267,7 @@ def _pg2_lines(field: Field, coords: tuple[tuple[int, int, int], ...]) -> np.nda
         ((neg[b], 1, 0), (neg[c], 0, 1)) if a == 1
         else ((1, 0, 0), (0, neg[c], 1)) if b == 1
         else ((1, 0, 0), (0, 1, 0))
-        for a, b, c in coords
+        for a, b, c in _pg2_coords(q)
     ]
     v1, v2 = np.array(basis, dtype=np.int32).swapaxes(0, 1)
     t = np.arange(q, dtype=np.int32)[None, :, None]

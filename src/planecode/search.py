@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .antipodal import AntipodalPlane, PartialLinearSpace, find_good_triangle, is_good_triangle
+from .antipodal import AntipodalPlane, PartialLinearSpace, find_good_triangle
 from .geometry import Plane, _field_of, collineation, fundamental_triangle, slope_from_coords
 
 DEFAULT_BUDGET = 10**9
@@ -110,7 +110,7 @@ def normalize_frame(pls: PartialLinearSpace) -> tuple[int, int, int, int]:
 
     def triple_ok(x: int, y: int, z: int) -> bool:
         for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
-            l = pls.line_of(a, b)
+            l = pls.line_through(a, b)
             if l is not None and c not in pls.line_sets[l]:
                 return True
         return False
@@ -350,16 +350,12 @@ class SlopeCertificate:
         return self.product == self.minus_one
 
 
-def slope_certificate(
-    ap: AntipodalPlane,
-    plane: Plane,
-    emb: Embedding,
-    triangle: tuple[int, int, int] | None = None,
-    transversal: int | None = None,
-) -> SlopeCertificate:
-    """Slope products T1, T2, T3 over a good triangle of an embedded
-    antipodal plane and a structure line avoiding the triangle and its
-    antipodes; their product equals -1.
+def slope_certificate(ap: AntipodalPlane, plane: Plane, emb: Embedding) -> SlopeCertificate:
+    """Slope products T1, T2, T3 over the good triangle find_good_triangle
+    picks in an embedded antipodal plane; their product equals -1.  The
+    first structure line avoiding the triangle and its antipodes is the
+    transversal of the argument: its existence is checked and it is
+    recorded, but the products do not read it.
 
     Individual T_i depend on the coordinate normalization (the image
     triangle is moved onto the fundamental one by a collineation); the
@@ -370,24 +366,12 @@ def slope_certificate(
     ok, witness = verify_embedding(pls, plane, emb)
     if not ok:
         raise SearchError(f"not an embedding of the antipodal plane: witness {witness}")
-    if triangle is None:
-        triangle = find_good_triangle(ap)
-    elif not is_good_triangle(ap, *triangle):
-        raise SearchError(f"{triangle} is not a good triangle")
-    a, b, c = triangle
+    triangle = a, b, c = find_good_triangle(ap)
     K = {a, b, c, ap.perp_point[a], ap.perp_point[b], ap.perp_point[c]}
+    transversal = next((i for i, l in enumerate(pls.line_sets) if not (l & K)), None)
     if transversal is None:
-        options = [i for i, l in enumerate(pls.line_sets) if not (l & K)]
-        if not options:
-            raise SearchError(
-                "no structure line avoids the triangle and its antipodes"
-            )
-        transversal = options[0]
-    elif pls.line_sets[transversal] & K:
-        raise SearchError(
-            f"line {transversal} meets the triangle or its antipodes"
-        )
-    sides = {pls.line_of(a, b), pls.line_of(a, c), pls.line_of(b, c)}
+        raise SearchError("no structure line avoids the triangle and its antipodes")
+    sides = {pls.line_through(a, b), pls.line_through(a, c), pls.line_through(b, c)}
     # the collineation with the triangle's images as matrix columns maps the
     # fundamental triangle onto them; its inverse moves the embedding back
     columns = [plane.coords[emb.point_map[v]] for v in (a, b, c)]

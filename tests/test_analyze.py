@@ -27,7 +27,7 @@ from planecode.codes import (
     is_dual_word,
     line_sums,
 )
-from planecode.construct import baer_diff, line_diff
+from planecode.construct import _set_diff, baer_diff, line_diff
 from planecode.field import field_new
 from planecode.geometry import baer_subfield_subplane, pg2
 
@@ -640,7 +640,7 @@ def _words_for_line_statistics(plane, p, rng):
     dense = np.zeros(N, dtype=np.int64)
     for _ in range(3 * plane.order):
         a, b = rng.choice(N, 2, replace=False)
-        dense += int(rng.integers(1, p)) * line_diff(plane, int(a), int(b), raw=True).values
+        dense += int(rng.integers(1, p)) * _set_diff(plane, plane.lines[a], plane.lines[b]).values
     words.append(CodeWord(p, dense))
     for d in (0.02, 0.5, 1):
         v = rng.integers(0, p, size=N) * (rng.random(N) < d)

@@ -192,10 +192,11 @@ def test_isomorphism_raises_when_the_budget_runs_out(monkeypatch):
 
 def test_mobius_kantor_gf7():
     f = field_new(7)
-    pts = mobius_kantor_points(f, omega=3)
+    pts = mobius_kantor_points(f)
     assert len(pts) == 8
+    assert pts[4] == (0, 1, 3)  # the root 3 of x^2-x+1, the lesser of 3 and 5
     plane = pg2(f)
-    pls, ambient = mobius_kantor_pls(plane, omega=3)
+    pls, ambient = mobius_kantor_pls(plane)
     assert len(set(ambient)) == 8
     ap = validate_antipodal(pls)
     assert ap.order == 2
@@ -240,7 +241,7 @@ def test_is_good_triangle_rejects_invalid():
     assert not is_good_triangle(ap, line[0], line[1], line[2])
 
 
-def reference_mobius_kantor_pls(plane, omega=None):
+def reference_mobius_kantor_pls(plane):
     """The coordinate dict and the frozenset scan over all lines."""
     f = plane.field
     index = {c: i for i, c in enumerate(plane.coords)}
@@ -249,7 +250,7 @@ def reference_mobius_kantor_pls(plane, omega=None):
         s = f.inv(next(x for x in v if x))
         return tuple(f.mul(s, x) for x in v)
 
-    pts = [index[normalize(c)] for c in mobius_kantor_points(f, omega)]
+    pts = [index[normalize(c)] for c in mobius_kantor_points(f)]
     local = {p: i for i, p in enumerate(pts)}
     lines = []
     for ls in map(frozenset, plane.lines):
@@ -263,9 +264,7 @@ def reference_mobius_kantor_pls(plane, omega=None):
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (7, 1), (3, 2), (13, 1)])
 def test_mobius_kantor_matches_reference(p, h):
     plane = pg2(field_new(p, h))
-    f = plane.field
-    for omega in (None, *f.solve_monic_quadratic(f.neg(1), 1)):
-        pls, pts = mobius_kantor_pls(plane, omega)
-        want_pls, want_pts = reference_mobius_kantor_pls(plane, omega)
-        assert pts == want_pts
-        assert pls.lines == want_pls.lines  # the same lines in the same order
+    pls, pts = mobius_kantor_pls(plane)
+    want_pls, want_pts = reference_mobius_kantor_pls(plane)
+    assert pts == want_pts
+    assert pls.lines == want_pls.lines  # the same lines in the same order

@@ -12,6 +12,7 @@ from planecode.construct import (
     NotVerifiedEmbeddingError,
     RecipeCheckError,
     SameLineError,
+    _set_diff,
     antipodal_diff,
     baer_diff,
     disjoint_baer_pair,
@@ -88,8 +89,9 @@ def test_line_diff_weight_guard_raises(pg9, monkeypatch):
 def test_line_diff_normalized_leading_symbol(pg9):
     w = line_diff(pg9, 5, 3)
     assert int(w.values[w.support[0]]) == 1
-    raw = line_diff(pg9, 5, 3, raw=True)
+    raw = _set_diff(pg9, pg9.lines[5], pg9.lines[3])
     assert raw.weight == w.weight
+    assert w == raw.scale(pow(int(raw.values[raw.support[0]]), -1, 3))
 
 
 def test_baer_diff_pg9(pg9):

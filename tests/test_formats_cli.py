@@ -8,6 +8,7 @@ from planecode.cli import main
 from planecode.construct import baer_diff
 from planecode.field import field_new
 from planecode.geometry import AxiomViolationError, baer_subfield_subplane, pg2
+from planecode.search import Embedding
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,9 @@ PLANE, PLS = formats.plane_from_text, formats.pls_from_text
         (PLANE, "plane n=2 points=7 lines=7\n" + FANO.replace("2 4 5", "2 4 7"),
          r"^line 8: point index outside 0\.\.6"),
         (PLS, "pls points=3 lines=1\n\n-1 1\n", r"^line 3: point index outside 0\.\.2"),
+        (PLANE, "plane n=2 points=7 lines=7\n" + FANO.replace("0 1 2", "0 0 1"),
+         r"^line 2: repeated point in '0 0 1'"),
+        (PLS, "pls points=3 lines=2\n0 1\n\n2 1 2\n", r"^line 4: repeated point in '2 1 2'"),
     ],
 )
 def test_plane_and_pls_text_reject_malformed_files(parse, text, match):
@@ -341,6 +345,13 @@ def test_cli_threads_flag_is_gone(before):
     assert e.value.code == 2
 
 
+def test_cli_raw_flag_is_gone():
+    # every recipe scales its word so that the lowest-index symbol is 1
+    with pytest.raises(SystemExit) as e:
+        main(["construct", "line-diff", "--field", "3", "--raw"])
+    assert e.value.code == 2
+
+
 def test_cli_no_normalize_flag_is_gone():
     # frame pinning follows from the target; a plane file gets the plain search
     with pytest.raises(SystemExit) as e:
@@ -405,3 +416,50 @@ def test_cli_antipodal_diff_via_embeddings(tmp_path, capsys):
     assert code == 0
     assert record["outcome"]["weight"] == 16
     assert record["outcome"]["dual"] in (True, False)
+
+
+def test_embedding_json_roundtrip(tmp_path):
+    emb = Embedding((3, 0, 7), (1, 2))
+    path = tmp_path / "e.json"
+    formats.write_embedding(emb, path)
+    assert json.loads(path.read_text()) == formats.embedding_to_json(emb)
+    assert formats.read_embedding(path) == emb
+
+
+@pytest.mark.parametrize(
+    "obj,match",
+    [
+        ([0, 1], r"'point_map' is a list"),
+        ("point_map", r"'point_map' is a list"),
+        ({"line_map": [0]}, r"'point_map' is a list"),
+        ({"point_map": [0]}, r"'line_map' is a list"),
+        ({"point_map": {"0": 1}, "line_map": []}, r"'point_map' is a list"),
+        ({"point_map": [0], "line_map": 3}, r"'line_map' is a list"),
+        ({"point_map": [0, True, 3], "line_map": []}, r"^point_map entry 1: True is not"),
+        ({"point_map": [0], "line_map": [1.0]}, r"^line_map entry 0: 1.0 is not"),
+        ({"point_map": [0], "line_map": [2, "3"]}, r"^line_map entry 1: '3' is not"),
+        ({"point_map": [None], "line_map": []}, r"^point_map entry 0: None is not"),
+    ],
+)
+def test_embedding_json_rejects_malformed_objects(obj, match):
+    with pytest.raises(formats.FormatError, match=match):
+        formats.embedding_from_json(obj)
+
+
+def test_embedding_file_that_is_not_json_names_the_line(tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text('{"point_map": [0, 1],\n "line_map": [0,, 1]}')
+    with pytest.raises(formats.FormatError, match=r"^line 2: "):
+        formats.read_embedding(path)
+
+
+def test_cli_antipodal_diff_refuses_a_malformed_embedding_file(tmp_path, capsys):
+    e1 = tmp_path / "e1.json"
+    e1.write_text(json.dumps({"point_map": [0, True, 3, 10, 11, 12, 13, 14], "line_map": []}))
+    code, record = run_cli(
+        capsys, "construct", "antipodal-diff", "--field", "3^2",
+        "--pls", "builtin:mk", "--emb1", str(e1), "--emb2", str(e1),
+    )
+    assert code == 1
+    assert record["outcome"]["error"] == "FormatError"
+    assert record["outcome"]["message"] == "point_map entry 1: True is not an integer"

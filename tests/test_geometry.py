@@ -90,6 +90,21 @@ def test_pg2_determinism():
     assert a.lines == b.lines
 
 
+@pytest.mark.parametrize("q", [4, 9])
+def test_a_plane_with_a_field_has_pg2s_coordinates(q):
+    f = field_new(*ORACLE_FIELDS[q])
+    ref = pg2(f)
+    plane = geometry.Plane(q, ref.lines, f)
+    assert plane.source == "generated"
+    assert plane.coords == ref.coords
+    assert np.array_equal(plane.coords_arr, ref.coords_arr)
+    assert plane.coords_arr.dtype == ref.coords_arr.dtype == np.int64
+    frob = collineation(ref, np.eye(3, dtype=np.int64), frob=1)
+    assert np.array_equal(collineation(plane, np.eye(3, dtype=np.int64), frob=1), frob)
+    with pytest.raises(GeometryError, match=f"order {q + 1} cannot be over GF\\({q}\\)"):
+        geometry.Plane(q + 1, ref.lines, f)
+
+
 def test_ingest_fano():
     plane = plane_from_incidence(FANO_LINES, 2)
     assert plane.npoints == 7

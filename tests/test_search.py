@@ -3,7 +3,9 @@ import os
 import pytest
 
 from planecode.antipodal import (
+    AntipodalError,
     cyclic_antipodal,
+    find_good_triangle,
     mobius_kantor_pls,
     PartialLinearSpace,
     validate_antipodal,
@@ -215,25 +217,23 @@ def test_slope_certificate_order3_in_pg24():
     assert cert.product == plane.field.neg(1)
 
 
-def test_slope_certificate_rejects_bad_transversal():
+def test_slope_certificate_records_its_triangle_and_transversal():
     plane = plane_of(4)
-    out = embed_search(AP3, plane)
     ap = validate_antipodal(AP3)
-    from planecode.antipodal import find_good_triangle
-
-    tri = find_good_triangle(ap)
-    k = set(tri) | {ap.perp_point[v] for v in tri}
-    bad = next(i for i, l in enumerate(AP3.line_sets) if l & k)
-    with pytest.raises(SearchError):
-        slope_certificate(ap, plane, out.embeddings[0], triangle=tri, transversal=bad)
+    cert = slope_certificate(ap, plane, embed_search(AP3, plane).embeddings[0])
+    assert cert.triangle == find_good_triangle(ap)
+    k = set(cert.triangle) | {ap.perp_point[v] for v in cert.triangle}
+    avoiding = [i for i, l in enumerate(AP3.line_sets) if not l & k]
+    assert cert.transversal == avoiding[0]
 
 
-def test_slope_certificate_rejects_bad_triangle():
+def test_slope_certificate_needs_a_good_triangle():
+    # an order-2 antipodal plane has no good triangle
     plane = plane_of(7)
     out = embed_search(MK, plane)
     ap = validate_antipodal(MK)
-    with pytest.raises(SearchError):
-        slope_certificate(ap, plane, out.embeddings[0], triangle=(0, 1, 2))
+    with pytest.raises(AntipodalError, match="good triangle"):
+        slope_certificate(ap, plane, out.embeddings[0])
 
 
 def test_mk_has_no_valid_transversal():

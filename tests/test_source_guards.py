@@ -241,18 +241,35 @@ def test_quadrangle_closures_only_in_geometry_and_without_avoid():
 
 
 def test_options_the_code_works_out_stay_deleted():
-    # frame pinning follows from the target, a plane's source from its field,
-    # and a word the analyzer refuses as non-dual cannot be extracted from
+    # frame pinning follows from the target, a plane's source and coordinates
+    # from its field, and a word the analyzer refuses as non-dual cannot be
+    # extracted from; no caller sets a recipe's sign, a Mobius-Kantor root or
+    # a certificate's triangle and transversal
+    from planecode import construct
     from planecode.analyze import extract_antipodal, extract_baer
+    from planecode.antipodal import PartialLinearSpace, mobius_kantor_pls, mobius_kantor_points
     from planecode.codes import code_of_plane
     from planecode.geometry import Plane
-    from planecode.search import embed_search
+    from planecode.search import embed_search, slope_certificate
 
-    removed = {
-        embed_search: "normalize",
-        code_of_plane: "allow_prime_mismatch",
-        extract_baer: "override_non_dual",
-        extract_antipodal: "override_non_dual",
-        Plane.__init__: "source",
-    }
-    assert [name for f, name in removed.items() if name in inspect.signature(f).parameters] == []
+    removed = [
+        (embed_search, "normalize"),
+        (code_of_plane, "allow_prime_mismatch"),
+        (extract_baer, "override_non_dual"),
+        (extract_antipodal, "override_non_dual"),
+        (Plane.__init__, "source"),
+        (Plane.__init__, "coords"),
+        (construct.line_diff, "raw"),
+        (construct.baer_diff, "raw"),
+        (construct.subplane_diff, "raw"),
+        (construct.antipodal_diff, "raw"),
+        (construct._scaled, "raw"),
+        (construct._disjoint_diff, "raw"),
+        (mobius_kantor_points, "omega"),
+        (mobius_kantor_pls, "omega"),
+        (slope_certificate, "triangle"),
+        (slope_certificate, "transversal"),
+    ]
+    assert [name for f, name in removed if name in inspect.signature(f).parameters] == []
+    # one name per query: the join of a partial linear space is line_through, as on Plane
+    assert not hasattr(PartialLinearSpace, "line_of")
