@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyze import FAIL, NA, PASS, analyze, extract_baer
+from .analyze import FAIL, NA, PASS, analyze, analyze_words, extract_baer
 from .antipodal import (
     antipodal_from_pg24,
     cyclic_antipodal,
@@ -318,8 +318,8 @@ def criterion_10_analyzer_suite(ctx: AcceptanceContext):
                 words.append(w)
         words.extend(w for w in random_dual_words(ctx.dual_code(p, h), rng, 500) if w.weight)
         tally = Counter()
-        for w in words:
-            tally.update(analyze(w, plane).tally())
+        for w, a in zip(words, analyze_words(words, plane)):
+            tally.update(a.tally())
             ctx.checked_words.append((q, p, w.weight))
         ok &= tally[FAIL] == 0
         details.append(f"q={q}: {len(words)} words, {tally[FAIL]} failed checks "

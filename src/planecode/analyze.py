@@ -16,6 +16,7 @@ classes of size p^2-p+2 yield two embedded antipodal planes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .antipodal import (
     PartialLinearSpace,
     validate_antipodal,
 )
-from .codes import CodeWord, is_dual_word
+from .codes import CodeWord, LengthMismatchError, exact_matmul, is_dual_word
 from .construct import _set_diff
 from .geometry import Plane, SubplaneResult, _restricted_lines, subplane_result_from_points
 from .field import is_prime
@@ -115,7 +116,6 @@ class WordAnalysis:
     z: np.ndarray
     support: np.ndarray
     line_counts: np.ndarray  # |line cap support| per line
-    point_counts: np.ndarray  # line_counts on the lines through each support point, one row each
     checks: list[CheckResult] = dc_field(default_factory=list)
     colour_components: list[tuple[int, ...]] = dc_field(default_factory=list)
     classification: str = "none"
@@ -172,20 +172,126 @@ def canonicalize(word: CodeWord, x_counts: np.ndarray, support: np.ndarray) -> C
     return word.scale(pow(c, p - 2, p))
 
 
+# The batch path works on chunks of _CHUNK_WORDS words and on blocks of
+# points whose incidence with the lines has at most _BLOCK_CELLS cells: it
+# holds five chunk x N int64 arrays and one block at a time (2 MB of double
+# precision in a product), so no temporary grows with N^2.
+_CHUNK_WORDS = 64
+_BLOCK_CELLS = 1 << 18
+
+
 def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> WordAnalysis:
-    """Full diagnostic record for a word against its plane."""
-    p = word.p
+    """Full diagnostic record for a word against its plane: analyze_words
+    for one word, which reads the lines through its support."""
+    _check_words([word], plane)
+    return _analysis(word, plane, *_support_statistics(word, plane), override_non_dual)
+
+
+def analyze_words(
+    words, plane: Plane, override_non_dual: bool = False
+) -> Iterator[WordAnalysis]:
+    """analyze(w, plane, override_non_dual) for each word, in order.
+
+    The words share one prime (else AnalyzeError) and the plane's length
+    (else LengthMismatchError), both checked before the first record.  A
+    lone word reads the lines through its support; two or more go in chunks
+    of _CHUNK_WORDS through exact products with the incidence, which cost
+    less per word in a batch but more for one word alone."""
+    words = list(words)
+    if not words:
+        return
+    _check_words(words, plane)
+    # line sums, line counts, x, y, z of the words of a chunk, reused by the chunks
+    n = min(len(words), _CHUNK_WORDS)
+    buffers = np.empty((5, n, plane.npoints), dtype=np.int64) if n > 1 else None
+    for start in range(0, len(words), _CHUNK_WORDS):
+        chunk = words[start : start + _CHUNK_WORDS]
+        if len(chunk) == 1:
+            stats = [_support_statistics(chunk[0], plane)]
+        else:
+            stats = _product_statistics(chunk, plane, buffers)
+        for w, (witness, line_counts, x, y, z) in zip(chunk, stats):
+            yield _analysis(w, plane, witness, line_counts, x, y, z, override_non_dual)
+
+
+def _check_words(words: list[CodeWord], plane: Plane) -> None:
+    """Raise unless the words share one prime and the plane's length."""
+    p = words[0].p
     if not is_prime(p):
         raise AnalyzeError(f"word symbol prime {p} is not prime")
-    dual, witness = is_dual_word(word, plane)  # both read only the lines through the support
+    if any(w.p != p for w in words):
+        raise AnalyzeError(f"the words mix the primes {sorted({w.p for w in words})}")
+    for w in words:
+        if w.length != plane.npoints:
+            raise LengthMismatchError(
+                f"word length {w.length} does not match plane with {plane.npoints} points"
+            )
+
+
+def _support_statistics(w: CodeWord, plane: Plane):
+    """(witness, line counts, x, y, z) of one word, read over the lines
+    through its support."""
+    line_counts = plane.line_counts(w.support)
+    rows = np.take(line_counts, plane.point_lines_arr[w.support])  # the lines through each point
+    x, y, z = ((rows == k).sum(axis=1) for k in (2, 3, 4))
+    return is_dual_word(w, plane)[1], line_counts, x, y, z
+
+
+def _incidence_block(plane: Plane, points: np.ndarray) -> np.ndarray:
+    """The 0/1 incidence of the points (rows) with every line (columns)."""
+    block = np.zeros((points.size, plane.npoints), dtype=np.uint8)
+    block[np.arange(points.size)[:, None], plane.point_lines_arr[points]] = 1
+    return block
+
+
+def _product_statistics(words: list[CodeWord], plane: Plane, buffers: np.ndarray):
+    """(witness, line counts, x, y, z) of each word of a chunk, from five
+    exact products (codes.exact_matmul) with the incidence I of the points
+    of U, the union of the supports, with the lines: the line sums (values
+    on U) @ I, whose first line not 0 mod p is the witness, and the line
+    counts (support on U) @ I, then x, y and z as (counts == k) @ I.T for
+    k = 2, 3, 4, read at each word's support.  I is built in blocks of
+    points, once for the sums and counts and once for x, y, z.  The line
+    sums stay in buffers[0] until the next chunk."""
+    p, n = words[0].p, len(words)
+    values = np.stack([w.values for w in words])
+    union = np.flatnonzero(values.any(axis=0))
+    step = max(1, _BLOCK_CELLS // plane.npoints)
+    blocks = [union[s : s + step] for s in range(0, union.size, step)]
+    buf = buffers[:, :n]
+    buf.fill(0)
+    sums, counts, secants = buf[0], buf[1], buf[2:]
+    for points in blocks:
+        on_u = values[:, points]
+        both = exact_matmul(np.concatenate([on_u, on_u != 0]), _incidence_block(plane, points), p)
+        sums += both[:n]
+        counts += both[n:]
+    # x, y and z read only the lines that meet some support in 2, 3 or 4
+    # points: none, on the dense random dual words of PG(2,25)
+    near = np.flatnonzero(((counts >= 2) & (counts <= 4)).any(axis=0))
+    if near.size:
+        kinds = (counts[:, near] == np.array([2, 3, 4])[:, None, None]).reshape(3 * n, -1)
+        for points in blocks:
+            got = exact_matmul(kinds, _incidence_block(plane, points)[:, near].T, p)
+            secants[:, :, points] = got.reshape(3, n, -1)
+    bad = sums % p != 0
+    first = bad.argmax(axis=1)
+    dual = ~bad[np.arange(n), first]
+    for i, w in enumerate(words):
+        x, y, z = secants[:, i, w.support]
+        yield None if dual[i] else int(first[i]), counts[i].copy(), x, y, z
+
+
+def _analysis(
+    word: CodeWord, plane: Plane, witness, line_counts, x, y, z, override_non_dual: bool
+) -> WordAnalysis:
+    """The record of a word from its line statistics (the witness is None
+    for a dual word): canonical scaling, colours, mu and the checklist."""
+    p = word.p
+    dual = witness is None
     if not dual and not override_non_dual:
         raise NotDualWordError(f"word is not in the dual code; witness line {witness}")
-
     support = word.support
-    line_counts = plane.line_counts(support)
-    point_counts = line_counts[plane.point_lines_arr[support]]
-    x = (point_counts == 2).sum(axis=1)
-
     canonical = canonicalize(word, x, support)
     sizes = np.bincount(canonical.values[support], minlength=p).tolist()
     square = plane.order == p * p
@@ -205,11 +311,10 @@ def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> Wo
         mu=canonical.mu(),
         mu_neg=canonical.neg().mu(),
         x=x,
-        y=(point_counts == 3).sum(axis=1),
-        z=(point_counts == 4).sum(axis=1),
+        y=y,
+        z=z,
         support=support,
         line_counts=line_counts,
-        point_counts=point_counts,
     )
     _run_checklist(a, plane)
     a.classification = _classify(a)
@@ -281,7 +386,8 @@ def _secant_counts(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     p, eps = a.p, a.epsilon
     ok1 = bool((2 * a.x + a.y >= p * p + 2 * p + 2 - eps).all())
     ok2 = bool((3 * a.x + 2 * a.y + a.z >= 2 * p * p + 2 * p + 3 - eps).all())
-    correction = ((a.point_counts - 3) * (a.point_counts >= 4)).sum(axis=1)
+    rows = np.take(a.line_counts, plane.point_lines_arr[a.support])  # the lines through each point
+    correction = ((rows - 3) * (rows >= 4)).sum(axis=1)
     ok3 = bool((a.x == 2 * p + 1 - eps + correction).all())
     return ok1 and ok2 and ok3, f"{ok1},{ok2},{ok3}"
 
@@ -323,7 +429,8 @@ def _kvsx_conditionals(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
                     return False, f"colour {lam}: x({pt}) != 2p+1-eps"
                 if int(a.z[i]) != 0 or int(a.x[i] + a.y[i]) != plane.order + 1:
                     return False, f"colour {lam}: point {pt} not on 2/3-secants only"
-                ends = plane.lines_arr[plane.point_lines_arr[pt][a.point_counts[i] == 2]]
+                through = plane.point_lines_arr[pt]
+                ends = plane.lines_arr[through[a.line_counts[through] == 2]]
                 if set(ends[(values[ends] != 0) & (ends != pt)].tolist()) != opp_pts:
                     return False, f"colour {lam}: 2-secant ends differ from opposite class"
         if opp == low + 1:

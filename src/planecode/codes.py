@@ -59,17 +59,29 @@ def _fits(terms: int, p: int, limit: int) -> bool:
     return terms * (p - 1) ** 2 + p < limit
 
 
+def exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b exactly, as int64, for 2-D matrices a and b of entries in (-p, p).
+
+    One float64 BLAS product, whose sums stay below 2^53 in magnitude, then
+    an exact cast to int64.  Raises CodesError when the inner dimension would
+    let them reach that bound.
+    """
+    if not _fits(a.shape[1], p, _FLOAT_LIMIT):
+        raise CodesError(f"an inner dimension of {a.shape[1]} at p = {p} is not exact in float64")
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p exactly, as residues in [0, p) in int64, for 2-D matrices
     a and b of entries in (-p, p).
 
-    One float64 BLAS product when its sums stay below 2^53 in magnitude,
-    reduced after an exact cast to int64; otherwise int64 products over
-    slices of the inner dimension, each below 2^62.
+    exact_matmul reduced mod p when its sums stay below 2^53 in magnitude;
+    otherwise int64 products over slices of the inner dimension, each below
+    2^62.
     """
     inner = a.shape[1]
     if _fits(inner, p, _FLOAT_LIMIT):
-        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        prod = exact_matmul(a, b, p)
         prod %= p
         return prod
     step = (_INT64_LIMIT - p) // (p - 1) ** 2

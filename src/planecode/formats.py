@@ -61,9 +61,11 @@ def _parse_header(text: str, usage: str) -> tuple[int, dict[str, int], list]:
 def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], list]:
     """The header and the integer point rows of a plane or pls file; every
     point index must lie below the header's points=, no row may repeat a
-    point, and the number of rows must equal its lines=."""
+    point, a row must have n+1 points (a plane of order n) or at least 2
+    (a pls), and the number of rows must equal its lines=."""
     line, fields, body = _parse_header(text, usage)
     npoints = fields["points"]
+    size = fields["n"] + 1 if "n" in fields else None
     rows = []
     for n, entry in body:
         try:
@@ -76,6 +78,11 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], list]:
             )
         if len(set(row)) != len(row):
             raise FormatError(f"line {n}: repeated point in {entry.strip()!r}")
+        if len(row) != size if size else len(row) < 2:
+            raise FormatError(
+                f"line {n}: row {entry.strip()!r} of size {len(row)}, "
+                f"expected {size or 'at least 2'} points"
+            )
         rows.append(row)
     if len(rows) != fields["lines"]:
         raise FormatError(

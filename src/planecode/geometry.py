@@ -84,24 +84,20 @@ class SubplaneSearchOutcome:
 class Plane:
     """Immutable projective plane of order n; queries are read-only.
 
-    With a field, whose q must be n, the plane is generated: point i has the
-    coordinates of point i of pg2(field).  Without one it is ingested."""
+    A plane built here is ingested: it has no field and no coordinates.
+    Only pg2 makes a generated plane, from its field alone."""
 
     def __init__(
         self,
         order: int,
         lines: np.ndarray | list[tuple[int, ...]],  # one row of point indices per line
-        field: Field | None = None,
     ):
-        if field is not None and field.q != order:
-            raise GeometryError(f"a plane of order {order} cannot be over GF({field.q})")
         self.order = order
         self.npoints = N = order * order + order + 1
-        self.source = "ingested" if field is None else "generated"
-        self.field = field
-        self.coords = None if field is None else _pg2_coords(order)
-        # the coordinates as an N x 3 array, for the vectorised collineations
-        self.coords_arr = None if field is None else np.array(self.coords, dtype=np.int64)
+        self.source = "ingested"
+        self.field: Field | None = None
+        self.coords: tuple[tuple[int, int, int], ...] | None = None
+        self.coords_arr: np.ndarray | None = None
         self.lines_arr = _checked_lines(lines, order)
         self.lines = _int_rows(self.lines_arr, N)
         # a stable sort of the incidences by point keeps each point's lines ascending
@@ -243,9 +239,16 @@ def _int_rows(arr: np.ndarray, N: int) -> tuple[tuple[int, ...], ...]:
 
 
 def pg2(field: Field) -> Plane:
-    """The Desarguesian plane PG(2,q) with deterministic lexicographic indexing."""
-    lines = _pg2_lines(field)  # its temporaries are freed before validation
-    return Plane(field.q, lines, field)
+    """The Desarguesian plane PG(2,q) with deterministic lexicographic indexing.
+
+    The one generated plane: its lines are computed here from the field, so
+    point i's coordinates (coords, and coords_arr as an N x 3 array for the
+    vectorised collineations) describe its incidence."""
+    plane = Plane(field.q, _pg2_lines(field))  # its temporaries are freed before validation
+    plane.source, plane.field = "generated", field
+    plane.coords = _pg2_coords(field.q)
+    plane.coords_arr = np.array(plane.coords, dtype=np.int64)
+    return plane
 
 
 def _pg2_coords(q: int) -> tuple[tuple[int, int, int], ...]:

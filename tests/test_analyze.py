@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -672,3 +673,115 @@ def test_line_statistics_from_the_support_match_the_full_gather(p):
     assert not any(verdicts[4:7])  # the random words are not dual
     with pytest.raises(LengthMismatchError):
         line_sums(CodeWord(p, np.ones(plane.npoints + 1, dtype=np.int64)), plane)
+
+
+def _dense_dual_words(plane, p, rng, count):
+    """Random combinations of 3q line differences: dual words of high weight."""
+    N = plane.npoints
+    pool = np.array([
+        _set_diff(plane, plane.lines[a], plane.lines[b]).values
+        for a, b in (rng.choice(N, 2, replace=False) for _ in range(3 * plane.order))
+    ])
+    coeffs = rng.integers(0, p, size=(count, len(pool)))
+    return [CodeWord(p, v) for v in coeffs @ pool % p]
+
+
+def _batch_corpus(plane, p, rng):
+    """_CHUNK_WORDS + 1 words: two dense dual words, then dense dual words,
+    Baer and line words, sparse and dense non-dual words and the zero word
+    in a seeded order."""
+    N = plane.npoints
+    sub = baer_subfield_subplane(plane)
+    words = [baer_diff(plane, sub, secant=s) for s in sub.lines[:3]]
+    words += [line_diff(plane, int(a), int(b))
+              for a, b in (rng.choice(N, 2, replace=False) for _ in range(4))]
+    for d in (0.01, 0.05, 0.5, 0.9):
+        v = rng.integers(1, p, size=N) * (rng.random(N) < d) if p > 2 else rng.random(N) < d
+        v[rng.integers(N)] = 1  # never the zero word
+        words.append(CodeWord(p, v))
+    words.append(CodeWord(p, np.zeros(N, dtype=np.int64)))
+    dense = _dense_dual_words(plane, p, rng, analyzer._CHUNK_WORDS + 1 - len(words))
+    rest = dense[2:] + words
+    return dense[:2] + [rest[i] for i in rng.permutation(len(rest))]
+
+
+def _same_record(a, b):
+    assert a.to_report() == b.to_report()
+    assert (a.dual, a.witness, a.canonical) == (b.dual, b.witness, b.canonical)
+    for name in ("support", "line_counts", "x", "y", "z"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_batches_match_the_support_path(p, monkeypatch):
+    plane = pg2(field_new(p, 2))
+    words = _batch_corpus(plane, p, np.random.default_rng(40 + p))
+    chunk = analyzer._CHUNK_WORDS
+    assert len(words) == chunk + 1
+    want = [analyze(w, plane, override_non_dual=True) for w in words]  # one word: the support path
+    assert ("baer" in {a.classification for a in want}) == (p > 2)
+    assert [a.dual for a in want].count(False) == 4 and want[0].dual and want[1].dual
+    paths = []
+    for name in ("_support_statistics", "_product_statistics"):
+        real = getattr(analyzer, name)
+        monkeypatch.setattr(analyzer, name, lambda *a, real=real, name=name: paths.append(name) or real(*a))
+    for n in (1, 2, chunk - 1, chunk, chunk + 1):
+        paths.clear()
+        got = list(analyzer.analyze_words(iter(words[:n]), plane, override_non_dual=True))
+        assert len(got) == n
+        for a, b in zip(got, want):
+            _same_record(a, b)
+        lone = ["_support_statistics"] if n % chunk == 1 else []
+        assert paths == ["_product_statistics"] * (n // chunk + (n % chunk > 1)) + lone
+    # the products' line sums, left in the buffers, are the support path's
+    buffers = np.empty((5, chunk, plane.npoints), dtype=np.int64)
+    witnesses = [s[0] for s in analyzer._product_statistics(words[:chunk], plane, buffers)]
+    assert witnesses == [a.witness for a in want[:chunk]]
+    for w, sums in zip(words, buffers[0]):
+        assert np.array_equal(sums, line_sums(w, plane))
+
+
+def test_a_batch_refuses_what_analyze_refuses(pg9):
+    dual = [line_diff(pg9, 0, 1), baer_diff(pg9, baer_subfield_subplane(pg9))]
+    bad = CodeWord(3, np.eye(91, dtype=np.int64)[7])
+    witness = is_dual_word(bad, pg9)[1]
+    records = analyzer.analyze_words([dual[0], bad, dual[1]], pg9)
+    assert next(records).word == dual[0]
+    with pytest.raises(NotDualWordError, match=f"witness line {witness}$"):
+        next(records)
+    assert [a.witness for a in analyzer.analyze_words([bad] * 3, pg9, override_non_dual=True)] == [
+        witness
+    ] * 3
+    for length in (90, 92):
+        records = analyzer.analyze_words([*dual, CodeWord(3, np.zeros(length, dtype=np.int64))], pg9)
+        with pytest.raises(LengthMismatchError):
+            next(records)  # before any record
+    with pytest.raises(analyzer.AnalyzeError, match="mix the primes"):
+        list(analyzer.analyze_words([dual[0], CodeWord(2, dual[0].values % 2)], pg9))
+    assert list(analyzer.analyze_words([], pg9)) == []
+    assert list(analyzer.analyze_words(iter(()), pg9)) == []
+
+
+def test_a_dense_batch_at_q49_stays_within_its_memory_bound(pg49):
+    # 200 dense dual words at q=49 (N = 2451): the union of every chunk's
+    # supports is all N points, so their incidence is N x N, 48 MB as
+    # doubles.  The batch path holds five 64 x N int64 arrays (6.3 MB), the
+    # chunk's values (1.3 MB) and one block of 106 points at a time (2.1 MB
+    # as doubles), with a product of 2 x 64 x N doubles and its integer copy
+    # (2.5 MB each): 15 MiB above the input, bounded here by 20 MiB.
+    import tracemalloc
+
+    words = _dense_dual_words(pg49, 7, np.random.default_rng(49), 200)
+    assert min(w.weight for w in words) > 2000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tally = Counter()
+        for a in analyzer.analyze_words(words, pg49):
+            tally.update(a.tally())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tally[FAIL] == 0 and sum(tally.values()) == 12 * len(words)
+    assert peak < 20 * 2**20, peak / 2**20

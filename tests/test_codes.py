@@ -190,6 +190,27 @@ def test_matmul_mod_p_returns_residues_for_signed_inputs(p):
     assert got.min() >= 0 and got.max() < p
 
 
+def test_exact_matmul_is_exact_up_to_its_bound_and_refuses_beyond_it():
+    # the largest inner dimension whose sums of (p-1)^2 products stay below 2^53
+    p = 16777213
+    inner = (codes._FLOAT_LIMIT - p) // (p - 1) ** 2
+    assert codes._fits(inner, p, codes._FLOAT_LIMIT) and not codes._fits(inner + 1, p, codes._FLOAT_LIMIT)
+    a = np.full((2, inner), p - 1, dtype=np.int64)
+    a[1] = -(p - 1)
+    b = np.full((inner, 3), p - 1, dtype=np.int64)
+    got = codes.exact_matmul(a, b, p)
+    want = (a.astype(object) @ b.astype(object)).tolist()
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert abs(want[0][0]) > 2**52  # beyond 2^52 float64 spacing is 1 or more: exactness is tight
+    with pytest.raises(CodesError, match="not exact in float64"):
+        codes.exact_matmul(np.ones((2, inner + 1), dtype=np.int64), np.ones((inner + 1, 2)), p)
+    # 0/1 counts, as the analyzer reads them: no reduction
+    rng = np.random.default_rng(1)
+    ones = rng.integers(0, 2, size=(5, 300)).astype(bool)
+    inc = rng.integers(0, 2, size=(300, 4), dtype=np.uint8)
+    assert codes.exact_matmul(ones, inc, 2).tolist() == (ones.astype(int) @ inc.astype(int)).tolist()
+
+
 def test_matmul_mod_p_refuses_p_beyond_the_int64_bound():
     p = 2147483659  # (p-1)^2 > 2^62: not even one product fits
     with pytest.raises(CodesError, match="too large"):

@@ -72,6 +72,11 @@ PLANE, PLS = formats.plane_from_text, formats.pls_from_text
         (PLANE, "plane n=2 points=7 lines=7\n" + FANO.replace("0 1 2", "0 0 1"),
          r"^line 2: repeated point in '0 0 1'"),
         (PLS, "pls points=3 lines=2\n0 1\n\n2 1 2\n", r"^line 4: repeated point in '2 1 2'"),
+        (PLANE, "plane n=2 points=7 lines=7\n" + FANO.replace("0 3 4", "0 3"),
+         r"^line 3: row '0 3' of size 2, expected 3 points$"),
+        (PLANE, "plane n=2 points=7 lines=7\n" + FANO.replace("1 3 5", "1 3 5 6"),
+         r"^line 5: row '1 3 5 6' of size 4, expected 3 points$"),
+        (PLS, "pls points=3 lines=1\n\n0\n", r"^line 3: row '0' of size 1, expected at least 2 points$"),
     ],
 )
 def test_plane_and_pls_text_reject_malformed_files(parse, text, match):

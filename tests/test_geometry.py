@@ -91,18 +91,33 @@ def test_pg2_determinism():
 
 
 @pytest.mark.parametrize("q", [4, 9])
-def test_a_plane_with_a_field_has_pg2s_coordinates(q):
+def test_only_pg2_makes_a_generated_plane(q):
+    # pg2 computes its lines from its field, so its coordinates describe its
+    # incidence; a plane built from rows, pg2's own or relabelled, is ingested
+    from planecode.antipodal import cyclic_antipodal
+    from planecode.search import embed_search
+
     f = field_new(*ORACLE_FIELDS[q])
     ref = pg2(f)
-    plane = geometry.Plane(q, ref.lines, f)
-    assert plane.source == "generated"
-    assert plane.coords == ref.coords
-    assert np.array_equal(plane.coords_arr, ref.coords_arr)
-    assert plane.coords_arr.dtype == ref.coords_arr.dtype == np.int64
-    frob = collineation(ref, np.eye(3, dtype=np.int64), frob=1)
-    assert np.array_equal(collineation(plane, np.eye(3, dtype=np.int64), frob=1), frob)
-    with pytest.raises(GeometryError, match=f"order {q + 1} cannot be over GF\\({q}\\)"):
-        geometry.Plane(q + 1, ref.lines, f)
+    assert (ref.source, ref.field) == ("generated", f)
+    assert ref.coords == geometry._pg2_coords(q)
+    assert ref.coords_arr.dtype == np.int64
+    assert ref.coords_arr.tolist() == [list(c) for c in ref.coords]
+    with pytest.raises(TypeError):
+        geometry.Plane(q, ref.lines, f)
+    perm = np.random.default_rng(q).permutation(ref.npoints)
+    rows = [sorted(int(perm[x]) for x in line) for line in ref.lines]
+    for lines in (ref.lines, rows):
+        plane = geometry.Plane(q, lines)
+        assert (plane.source, plane.field, plane.coords, plane.coords_arr) == (
+            "ingested", None, None, None
+        )
+        with pytest.raises(NotGeneratedError):
+            collineation(plane, np.eye(3, dtype=np.int64))
+    if q == 4:
+        # the search pins no frame on the relabelled plane and finds the
+        # order-2 antipodal plane, as it does in pg2's
+        assert embed_search(cyclic_antipodal(2), geometry.Plane(q, rows)).status == "found"
 
 
 def test_ingest_fano():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -24,6 +25,8 @@ def test_no_assert_statements_in_package():
 
 
 _REMOVED_CACHES = {"pair_line_rows", "pair_point_rows"}
+# names deleted with what they held; none may come back under the same name
+_REMOVED_NAMES = _REMOVED_CACHES | {"point_counts"}
 
 
 def _identifiers(node):
@@ -50,29 +53,63 @@ def test_line_sets_only_on_a_partial_linear_space():
             )
             if owner == "plane" or not allowed:
                 found.append(f"{name}:{node.lineno}")
-        if _REMOVED_CACHES.intersection(_identifiers(node)):
-            found.append(f"{name}:{node.lineno}")
     assert found == []
     plane = pg2(field_new(2))
     for attr in ("line_sets", *_REMOVED_CACHES):
         assert not hasattr(plane, attr)
 
 
-def test_float64_only_in_the_bounded_gf_p_products():
-    # floating point is exact only under the bounds that these two functions check
-    codes_path = Path(planecode.__file__).parent / "codes.py"
+def test_removed_names_stay_gone():
+    # a plane keeps no row-tuple caches of its pair tables, and an analysis
+    # no per-point rows of line counts: the checks that read them gather
+    # them from line_counts and the plane
+    from planecode.analyze import WordAnalysis
+
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if _REMOVED_NAMES.intersection(_identifiers(node))
+    ]
+    assert found == []
+    assert "point_counts" not in {f.name for f in dataclasses.fields(WordAnalysis)}
+
+
+_FLOAT_DTYPES = ("float64", "float32", "float16")
+_EXACT_PRODUCTS = ("exact_matmul", "rref_mod_p")
+
+
+def _float_dtype_lines(source: str, name: str) -> list[str]:
+    """Lines naming a float dtype, except inside codes.py's exact float64
+    product and its elimination kernel."""
     allowed = [
         range(node.lineno, node.end_lineno + 1)
-        for node in ast.walk(ast.parse(codes_path.read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name in ("matmul_mod_p", "rref_mod_p")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in _EXACT_PRODUCTS
+    ] if name == "codes.py" else []
+    return [
+        f"{name}:{lineno}"
+        for lineno, line in enumerate(source.splitlines(), start=1)
+        if any(dtype in line for dtype in _FLOAT_DTYPES) and not any(lineno in r for r in allowed)
     ]
-    assert len(allowed) == 2
+
+
+def test_float64_only_in_the_bounded_gf_p_products():
+    # floating point is exact only under the bounds that these two functions
+    # check; every other product, the analyzer's counts too, goes through them
+    package = Path(planecode.__file__).parent
+    codes_source = (package / "codes.py").read_text()
+    defined = {n.name for n in ast.walk(ast.parse(codes_source)) if isinstance(n, ast.FunctionDef)}
+    assert set(_EXACT_PRODUCTS) <= defined
     found = []
-    for path in sorted(codes_path.parent.glob("*.py")):
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if "float64" in line and not (path == codes_path and any(lineno in r for r in allowed)):
-                found.append(f"{path.name}:{lineno}")
+    for path in sorted(package.glob("*.py")):
+        found += _float_dtype_lines(path.read_text(), path.name)
     assert found == []
+    for dtype in _FLOAT_DTYPES:
+        stray = f"def counts(a):\n    return a.astype(np.{dtype})\n"
+        assert _float_dtype_lines(stray, "analyze.py") == ["analyze.py:2"]
+        assert _float_dtype_lines(stray.replace("counts", "matmul_mod_p"), "codes.py") == ["codes.py:2"]
+    inside = "def exact_matmul(a, b, p):\n    return a.astype(np.float32)\n"
+    assert _float_dtype_lines(inside, "codes.py") == []
 
 
 def test_no_float_remainder_in_package():
