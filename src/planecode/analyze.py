@@ -1,13 +1,14 @@
 """Diagnostics for dual code words: colours, secants, identities, structure.
 
 Given a dual word and its plane of order p^2, the analyzer computes the
-colour classes K_lambda, the per-point secant profile (x_A, y_A, z_A and the
-full line-intersection multiset), mu of the word and its negative, the
-colour graph, and a checklist of identities and inequalities.  Each check
-states its hypothesis once (dual word, weight band [2p^2-2p+3, 2p^2-p], odd
-p, colour pattern); a check whose hypothesis fails is reported as
-not-applicable with the reason rather than silently skipped: the analyzer
-doubles as a debugging tool for words outside the band.
+colour classes K_lambda, the per-point secant counts x_A, y_A, z_A, the
+size of every line's meet with the support, mu of the word and its
+negative, the colour graph, and a checklist of identities and
+inequalities.  Each check states its hypothesis once (dual word, weight
+band [2p^2-2p+3, 2p^2-p], odd p, colour pattern); a check whose hypothesis
+fails is reported as not-applicable with the reason rather than silently
+skipped: the analyzer doubles as a debugging tool for words outside the
+band.
 
 Extremal two-colour words are classified and their geometry re-extracted:
 class sizes {p^2, p^2-p} yield the Baer-subplane-minus-secant form, equal
@@ -30,7 +31,7 @@ from .antipodal import (
 from .codes import CodeWord, LengthMismatchError, exact_matmul, is_dual_word
 from .construct import _set_diff
 from .geometry import Plane, SubplaneResult, _restricted_lines, subplane_result_from_points
-from .field import is_prime
+from .field import prime_of_power
 
 PASS, FAIL, NA = "pass", "fail", "na"
 
@@ -130,13 +131,6 @@ class WordAnalysis:
         """How many checks passed, were not applicable, and failed."""
         return {s: sum(c.status == s for c in self.checks) for s in (PASS, NA, FAIL)}
 
-    def secant_profile(self, point: int, plane: Plane) -> dict[int, int]:
-        """Full multiset {|line cap support|: count} over the lines through
-        a support point; the 2/3/4-secant counts are its x/y/z entries."""
-        counts = self.line_counts[plane.point_lines_arr[point]]
-        sizes, freq = np.unique(counts, return_counts=True)
-        return {int(s): int(f) for s, f in zip(sizes, freq)}
-
     def to_report(self) -> dict:
         return {
             "weight": self.weight,
@@ -192,11 +186,12 @@ def analyze_words(
 ) -> Iterator[WordAnalysis]:
     """analyze(w, plane, override_non_dual) for each word, in order.
 
-    The words share one prime (else AnalyzeError) and the plane's length
-    (else LengthMismatchError), both checked before the first record.  A
-    lone word reads the lines through its support; two or more go in chunks
-    of _CHUNK_WORDS through exact products with the incidence, which cost
-    less per word in a batch but more for one word alone."""
+    The words share one prime, the plane's characteristic (else
+    AnalyzeError), and the plane's length (else LengthMismatchError), both
+    checked before the first record.  A lone word reads the lines through
+    its support; two or more go in chunks of _CHUNK_WORDS through exact
+    products with the incidence, which cost less per word in a batch but
+    more for one word alone."""
     words = list(words)
     if not words:
         return
@@ -215,12 +210,16 @@ def analyze_words(
 
 
 def _check_words(words: list[CodeWord], plane: Plane) -> None:
-    """Raise unless the words share one prime and the plane's length."""
+    """Raise unless the words share one prime, the characteristic of the
+    plane, and the plane's length."""
     p = words[0].p
-    if not is_prime(p):
-        raise AnalyzeError(f"word symbol prime {p} is not prime")
     if any(w.p != p for w in words):
         raise AnalyzeError(f"the words mix the primes {sorted({w.p for w in words})}")
+    char = prime_of_power(plane.order)
+    if p != char:
+        raise AnalyzeError(
+            f"word prime {p} is not the characteristic {char} of a plane of order {plane.order}"
+        )
     for w in words:
         if w.length != plane.npoints:
             raise LengthMismatchError(

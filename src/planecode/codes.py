@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import is_prime, prime_of_power
+from .field import prime_of_power
 from .geometry import Plane
 
 DEFAULT_ENUM_BUDGET = 2**24
@@ -48,7 +48,6 @@ _PANEL = 32
 # sum of nonnegative integer terms that stays below it is exact in any order
 # of summation (BLAS blocking, FMA): it is the integer itself, on every run.
 _FLOAT_LIMIT = 1 << 53
-_INT64_LIMIT = 1 << 62
 # Entries per column slice of the trailing update and of its full reduction:
 # the temporary of each slice stays at 8 MB.
 _SLICE_ENTRIES = 1 << 20
@@ -73,25 +72,11 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p exactly, as residues in [0, p) in int64, for 2-D matrices
-    a and b of entries in (-p, p).
-
-    exact_matmul reduced mod p when its sums stay below 2^53 in magnitude;
-    otherwise int64 products over slices of the inner dimension, each below
-    2^62.
-    """
-    inner = a.shape[1]
-    if _fits(inner, p, _FLOAT_LIMIT):
-        prod = exact_matmul(a, b, p)
-        prod %= p
-        return prod
-    step = (_INT64_LIMIT - p) // (p - 1) ** 2
-    if step < 1:
-        raise CodesError(f"p = {p} is too large for an exact int64 product")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(0, inner, step):
-        out += a[:, k : k + step] @ b[k : k + step]
-        out %= p
-    return out
+    a and b of entries in (-p, p): exact_matmul reduced mod p, with its
+    CodesError when the inner dimension is too long for an exact product."""
+    prod = exact_matmul(a, b, p)
+    prod %= p
+    return prod
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -105,24 +90,21 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     updated once: T <- keep*T + Z@V, keep being 0 on the pivot rows.  T is
     reduced lazily: a panel's columns when the panel starts, V before each
     update, and all of T only when a running bound on its (nonnegative)
-    entries would reach the working limit.  When _PANEL*(p-1)^2 + p < 2^53,
-    T is float64 and Z@V a BLAS product, exact below that limit; for larger
-    p, T is int64 with limit 2^62.  Every entry is an integer below the
-    limit, so a float64 block is reduced by an exact cast to int64 and an
-    int64 remainder, a fraction of the cost of a float one.  The update and
-    the full reduction of T run in column slices of _SLICE_ENTRIES entries,
-    so their temporaries stay at 8 MB whatever the size of T.
+    entries would reach 2^53.  T is float64 and Z@V a BLAS product, exact
+    below that limit; a p with _PANEL*(p-1)^2 + p >= 2^53 is refused, far
+    above the characteristic (at most 4093) of any plane the package builds
+    or reads.  Every entry is an integer below the limit, so a float64
+    block is reduced by an exact cast to int64 and an int64 remainder, a
+    fraction of the cost of a float one.  The update and the full reduction
+    of T run in column slices of _SLICE_ENTRIES entries, so their
+    temporaries stay at 8 MB whatever the size of T.
     """
-    if _fits(_PANEL, p, _FLOAT_LIMIT):
-        dtype, limit = np.float64, _FLOAT_LIMIT
-    elif _fits(_PANEL, p, _INT64_LIMIT):
-        dtype, limit = np.int64, _INT64_LIMIT
-    else:
-        raise CodesError(f"p = {p} is too large for the int64 elimination kernel")
+    if not _fits(_PANEL, p, _FLOAT_LIMIT):
+        raise CodesError(f"p = {p} is too large for the float64 elimination kernel")
     mat = np.asarray(mat)
     # p as an int64 scalar: a uint8 matrix (the incidence matrix) is promoted
     # element-wise into the working matrix, and a p above 255 cannot overflow
-    m = np.remainder(mat, np.int64(p), out=np.empty(mat.shape, dtype=dtype))
+    m = np.remainder(mat, np.int64(p), out=np.empty(mat.shape, dtype=np.float64))
     rows, cols = m.shape
     bound = p - 1  # on the entries of the columns not yet eliminated
     pivots: list[int] = []
@@ -160,7 +142,7 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             t = m[:, c1:]
             step = max(1, _SLICE_ENTRIES // rows)
             grow = len(src) * (p - 1) ** 2
-            if bound + grow >= limit:
+            if bound + grow >= _FLOAT_LIMIT:
                 for j in range(0, t.shape[1], step):
                     blk = t[:, j : j + step]
                     np.remainder(blk.astype(np.int64, copy=False), p, out=blk)
@@ -168,7 +150,7 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             v = t[src]  # the pivot rows as the panel found them
             np.remainder(v.astype(np.int64, copy=False), p, out=v)
             t[src] = 0
-            z = a[:, w : w + len(src)].astype(dtype)
+            z = a[:, w : w + len(src)].astype(np.float64)
             for j in range(0, t.shape[1], step):
                 t[:, j : j + step] += z @ v[:, j : j + step]
             bound += grow
@@ -184,13 +166,6 @@ def _kernel_rows(rref: np.ndarray, pivots: list[int], cols: int, p: int) -> np.n
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (-rref[:, free].T) % p
     return basis
-
-
-def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """A basis (rows) of the right kernel of mat over GF(p)."""
-    m = np.asarray(mat)
-    rref, pivots = rref_mod_p(m, p)
-    return _kernel_rows(rref, pivots, m.shape[1], p)
 
 
 class CodeWord:
@@ -223,19 +198,10 @@ class CodeWord:
         return int(self.values.sum())
 
     def neg(self) -> "CodeWord":
-        return CodeWord(self.p, (-self.values) % self.p)
+        return CodeWord(self.p, -self.values)
 
     def scale(self, lam: int) -> "CodeWord":
-        return CodeWord(self.p, (self.values * (lam % self.p)) % self.p)
-
-    def colour_classes(self) -> dict[int, np.ndarray]:
-        """Map colour -> positions carrying that symbol, for colours 1..p-1."""
-        out = {}
-        for lam in range(1, self.p):
-            pos = np.flatnonzero(self.values == lam)
-            if pos.size:
-                out[lam] = pos
-        return out
+        return CodeWord(self.p, self.values * (lam % self.p))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -254,7 +220,7 @@ class CodeWord:
 def word_diff(v1: CodeWord, v2: CodeWord) -> CodeWord:
     if v1.p != v2.p or v1.length != v2.length:
         raise LengthMismatchError("word arithmetic needs matching p and length")
-    return CodeWord(v1.p, (v1.values - v2.values) % v1.p)
+    return CodeWord(v1.p, v1.values - v2.values)
 
 
 def indicator(points, length: int, p: int) -> CodeWord:
@@ -291,10 +257,11 @@ def incidence_matrix(plane: Plane) -> np.ndarray:
 
 def code_of_plane(plane: Plane, p: int) -> LinearCode:
     """The p-ary code of the plane: GF(p)-span of the incidence rows."""
-    if not is_prime(p):
-        raise CodesError(f"p must be prime, got {p}")
-    if prime_of_power(plane.order) != p:
-        raise PrimeMismatchError(f"plane order {plane.order} is not a power of {p}")
+    char = prime_of_power(plane.order)
+    if p != char:
+        raise PrimeMismatchError(
+            f"p = {p} is not the characteristic {char} of a plane of order {plane.order}"
+        )
     rref, pivots = rref_mod_p(incidence_matrix(plane), p)
     return LinearCode(p, plane.npoints, rref)
 
@@ -336,11 +303,6 @@ def is_dual_word(w: CodeWord, plane: Plane) -> tuple[bool, int | None]:
     witness is the first line whose values do not sum to 0 mod p."""
     bad = np.flatnonzero(line_sums(w, plane) % w.p)
     return not bad.size, int(bad[0]) if bad.size else None
-
-
-def line_restriction_mu(w: CodeWord, plane: Plane, line: int) -> int:
-    """mu of the restriction of w to a line."""
-    return int(w.values[plane.lines_arr[line]].sum())
 
 
 @dataclass

@@ -208,9 +208,6 @@ class Field:
             a += (ci % self.p) * self.p**i
         return a
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -232,26 +229,6 @@ class Field:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
-    def in_subfield(self, a: int, d: int) -> bool:
-        """True if a lies in the subfield GF(p^d); requires d | h."""
-        if self.h % d != 0:
-            raise FieldError(f"GF({self.p}^{d}) is not a subfield of GF({self.p}^{self.h})")
-        return self.pow(a, self.p**d) == a
 
     def solve_monic_quadratic(self, b: int, c: int) -> tuple[int, ...]:
         """All roots of x^2 + b*x + c, by exhaustive evaluation."""

@@ -4,7 +4,7 @@ Plane files:   "plane n=<n> points=<N> lines=<N>" then one line of sorted
                0-based point indices per geometric line.
 PLS files:     "pls points=<N> lines=<M>" then one line per structure line.
 Word files:    "word p=<p> len=<L>" then "pos:value" pairs for the support,
-               sorted by position; a JSON mirror is provided for tooling.
+               sorted by position; run records carry a JSON mirror.
 Embeddings:    JSON {"point_map": [...], "line_map": [...]}, integer lists.
 
 Exporters and ingesters are exact inverses on the textual relation; all
@@ -150,23 +150,21 @@ def word_to_text(w: CodeWord) -> str:
     return head + ("\n" + body if body else "") + "\n"
 
 
-def _as_int(x) -> int:
-    """An integer from text or from an integer, never from a float or a bool."""
-    if isinstance(x, bool):
-        raise TypeError(f"{x!r} is not an integer")
-    return int(x) if isinstance(x, str) else operator.index(x)
+def _support_word(p: int, length: int, body: list) -> CodeWord:
+    """The word with value b at position a for each "a:b" entry of a word
+    file's body, given as (line number, text) pairs; a FormatError names
+    the line of a bad entry."""
+    pos = np.empty(len(body), dtype=np.int64)
+    val = np.empty(len(body), dtype=np.int64)
 
+    def where(i: int) -> str:
+        return f"line {body[i][0]} ({body[i][1].strip()!r})"
 
-def _support_word(p: int, length: int, pairs: list, where) -> CodeWord:
-    """The word with value b at position a for each (a, b) in pairs; a
-    FormatError names the bad pair i by where(i)."""
-    pos = np.empty(len(pairs), dtype=np.int64)
-    val = np.empty(len(pairs), dtype=np.int64)
-    for i, pair in enumerate(pairs):
+    for i, (_, entry) in enumerate(body):
         try:
-            a, b = pair
-            pos[i], val[i] = _as_int(a), _as_int(b)
-        except (TypeError, ValueError):
+            a, b = entry.split(":")
+            pos[i], val[i] = int(a), int(b)
+        except ValueError:
             raise FormatError(f"{where(i)}: malformed entry, expected pos:value") from None
         except OverflowError:
             raise FormatError(f"{where(i)}: number out of range") from None
@@ -192,12 +190,7 @@ def word_from_text(text: str) -> CodeWord:
     line, fields, body = _parse_header(text, "word p=<p> len=<L>")
     if fields["p"] < 2:
         raise FormatError(f"line {line}: expected 'word p=<p> len=<L>' with p >= 2")
-    return _support_word(
-        fields["p"],
-        fields["len"],
-        [entry.split(":") for _, entry in body],
-        lambda i: f"line {body[i][0]} ({body[i][1].strip()!r})",
-    )
+    return _support_word(fields["p"], fields["len"], body)
 
 
 def word_to_json(w: CodeWord) -> dict:
@@ -206,17 +199,6 @@ def word_to_json(w: CodeWord) -> dict:
         "len": w.length,
         "support": {str(int(i)): int(w.values[i]) for i in w.support},
     }
-
-
-def word_from_json(obj: dict) -> CodeWord:
-    try:
-        p, length = _as_int(obj["p"]), _as_int(obj["len"])
-        support = list(obj["support"].items())
-        if p < 2 or length < 0:
-            raise ValueError
-    except (KeyError, TypeError, ValueError, AttributeError):
-        raise FormatError("expected {'p': p >= 2, 'len': L >= 0, 'support': {...}}") from None
-    return _support_word(p, length, support, lambda i: f"support entry {support[i][0]!r}")
 
 
 def write_word(w: CodeWord, path) -> None:
@@ -244,9 +226,9 @@ def embedding_from_json(obj) -> Embedding:
             raise FormatError(f"expected an object whose {key!r} is a list of integers")
         for i, x in enumerate(entries):
             try:
-                if isinstance(x, str):  # _as_int reads text; a JSON list holds numbers
+                if isinstance(x, (str, bool)):
                     raise TypeError
-                _as_int(x)
+                operator.index(x)
             except TypeError:
                 raise FormatError(f"{key} entry {i}: {x!r} is not an integer") from None
         maps.append(tuple(entries))

@@ -400,16 +400,6 @@ def baer_partition(plane: Plane) -> list[SubplaneResult]:
     return sorted(members, key=lambda sub: sub.points[0])
 
 
-def check_subplane(plane: Plane, sub: SubplaneResult) -> None:
-    """Raise unless the restricted incidence is a projective plane of order m
-    whose lines, in any order, are the listed ones."""
-    res = subplane_result_from_points(plane, frozenset(sub.points), sub.order)
-    if res is None:
-        raise GeometryError(f"the points are not a subplane of order {sub.order}")
-    if tuple(sorted(sub.lines)) != res.lines:
-        raise GeometryError(f"the listed lines are not the {len(res.lines)} secants")
-
-
 def _closure(
     join: tuple, meet: tuple, seed: tuple[int, int, int, int], cap: int, min_point: int
 ) -> frozenset | None:
@@ -581,15 +571,8 @@ def slope_from_coords(f: Field, vertex: int, pt: tuple[int, int, int]) -> int:
     return f.div(num, den)
 
 
-def slope(plane: Plane, vertex: int, line: int) -> int:
-    """Slope of a line of a generated plane through A1, A2 or A3."""
-    _field_of(plane, "slope")
-    if vertex not in (1, 2, 3):
-        raise GeometryError(f"vertex must be 1, 2 or 3, got {vertex}")
-    return _slope(plane, fundamental_triangle(plane), vertex, line)
-
-
 def _slope(plane: Plane, triangle: tuple[int, int, int], vertex: int, line: int) -> int:
+    """Slope of a line through A_vertex, the triangle being fundamental_triangle(plane)."""
     v = triangle[vertex - 1]
     if not plane.is_incident(v, line):
         raise NotThroughVertexError(f"line {line} does not pass through A{vertex}")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 import tracemalloc
 from math import comb
 
@@ -19,13 +20,11 @@ from planecode.codes import (
     incidence_matrix,
     indicator,
     is_dual_word,
-    line_restriction_mu,
     matmul_mod_p,
-    nullspace_mod_p,
     rref_mod_p,
     word_diff,
 )
-from planecode.field import field_new
+from planecode.field import FieldError, field_new
 from planecode.geometry import pg2
 
 
@@ -110,24 +109,37 @@ def test_rref_matches_reference_kernel(p, cols):
 
 
 def test_rref_near_the_int64_bound():
-    p = 268435399  # the largest prime below 2^28
+    p = 268435399  # the largest prime below 2^28: beyond the float64 bound
     rng = np.random.default_rng(5)
     m = rng.integers(0, p, size=(40, 70))
-    m[:, 3] = m[:, 0] + m[:, 1]  # a non-pivot column inside the first panel
-    want, want_piv = reference_rref(m, p)
-    got, got_piv = rref_mod_p(m, p)
-    assert got_piv == want_piv and np.array_equal(got, want)
+    with pytest.raises(CodesError, match="too large"):
+        rref_mod_p(m, p)
+
+
+def test_the_float64_bound_covers_every_plane_the_package_builds():
+    # Field holds at most 4096 elements, so a plane's characteristic is at
+    # most 4093: a panel, and even a product over all N points of PG(2,4093),
+    # stays exact in float64
+    p = 4093
+    assert codes._fits(codes._PANEL, p, codes._FLOAT_LIMIT)
+    assert codes._fits(p * p + p + 1, p, codes._FLOAT_LIMIT)
+    with pytest.raises(FieldError, match="lookup-table limit"):
+        field_new(4099)
 
 
 @pytest.mark.parametrize("p,float_path", [(16777213, True), (16777259, False)])
 def test_rref_on_both_sides_of_the_float64_bound(p, float_path):
-    # the largest prime below 2^24 and the next prime above it
+    # the largest prime below 2^24 and the next prime above it, which is refused
     assert codes._fits(codes._PANEL, p, codes._FLOAT_LIMIT) == float_path
     # seven full panels: on the float64 path the trailing block is reduced
     # before nearly every update, and unreduced it would pass 2^53
     rng = np.random.default_rng(p)
     m = rng.integers(0, p, size=(200, 260))
     m[:, 40] = (m[:, 0] + 3 * m[:, 35]) % p  # a non-pivot column in the second panel
+    if not float_path:
+        with pytest.raises(CodesError, match="too large"):
+            rref_mod_p(m, p)
+        return
     want, want_piv = reference_rref(m, p)
     got, got_piv = rref_mod_p(m, p)
     assert got_piv == want_piv and np.array_equal(got, want)
@@ -166,11 +178,19 @@ def test_rref_in_narrow_column_slices(monkeypatch):
 @pytest.mark.parametrize("p", [2, 7, 65521, 268435399, 2**31 - 1])
 @pytest.mark.parametrize("inner", [0, 1, 33, 300])
 def test_matmul_mod_p_matches_python_integers(p, inner):
+    # never a wrong residue: the product of Python integers where the sums
+    # are exact in float64, a refusal where they are not (every inner
+    # dimension but 0 at the two largest primes)
     rng = np.random.default_rng(inner)
     a = rng.integers(0, p, size=(7, inner))
     b = rng.integers(0, p, size=(inner, 5))
     a[0] = p - 1
     b[:, 0] = p - 1
+    if not codes._fits(inner, p, codes._FLOAT_LIMIT):
+        assert p > 65521 and inner > 0
+        with pytest.raises(CodesError, match="not exact in float64"):
+            matmul_mod_p(a, b, p)
+        return
     want = (a.astype(object) @ b.astype(object)) % p
     got = matmul_mod_p(a, b, p)
     assert got.dtype == np.int64 and got.tolist() == want.tolist()
@@ -178,12 +198,16 @@ def test_matmul_mod_p_matches_python_integers(p, inner):
 
 @pytest.mark.parametrize("p", [7, 2**31 - 1])
 def test_matmul_mod_p_returns_residues_for_signed_inputs(p):
-    # p = 7 takes the float64 product, p = 2^31 - 1 the int64 slices
+    # p = 7 takes the float64 product, p = 2^31 - 1 is refused
     assert codes._fits(40, p, codes._FLOAT_LIMIT) == (p == 7)
     rng = np.random.default_rng(p)
     a = rng.integers(-(p - 1), p, size=(6, 40))
     b = rng.integers(-(p - 1), p, size=(40, 4))
     a[0], b[:, 0] = -(p - 1), p - 1
+    if p != 7:
+        with pytest.raises(CodesError, match="not exact in float64"):
+            matmul_mod_p(a, b, p)
+        return
     want = (a.astype(object) @ b.astype(object)) % p
     got = matmul_mod_p(a, b, p)
     assert got.dtype == np.int64 and got.tolist() == want.tolist()
@@ -213,8 +237,24 @@ def test_exact_matmul_is_exact_up_to_its_bound_and_refuses_beyond_it():
 
 def test_matmul_mod_p_refuses_p_beyond_the_int64_bound():
     p = 2147483659  # (p-1)^2 > 2^62: not even one product fits
-    with pytest.raises(CodesError, match="too large"):
+    with pytest.raises(CodesError, match="not exact in float64"):
         matmul_mod_p(np.ones((2, 3), dtype=np.int64), np.ones((3, 2), dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("p", [16777259, 2**31 - 1])
+def test_kernel_refuses_p_beyond_the_float64_bound_before_allocating(p):
+    # a float64 working copy of these 4 MB uint8 matrices would take 32 MB
+    a = np.ones((2048, 2048), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodesError, match="too large"):
+            rref_mod_p(a, p)
+        with pytest.raises(CodesError, match="not exact in float64"):
+            matmul_mod_p(a, a, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dual_basis_refuses_a_basis_that_is_not_orthogonal(monkeypatch):
@@ -282,9 +322,9 @@ def test_nullspace_is_kernel():
     rng = np.random.default_rng(3)
     for p in (2, 3, 5):
         m = rng.integers(0, p, size=(6, 10))
-        ns = nullspace_mod_p(m, p)
+        rref, piv = rref_mod_p(m, p)
+        ns = codes._kernel_rows(rref, piv, 10, p)
         assert not ((m @ ns.T) % p).any()
-        _, piv = rref_mod_p(m, p)
         assert ns.shape[0] == 10 - len(piv)
 
 
@@ -298,6 +338,16 @@ def test_code_dimension_formula(planes, q, p, dim):
 def test_prime_mismatch(planes):
     with pytest.raises(PrimeMismatchError):
         code_of_plane(planes[9], 2)
+
+
+@pytest.mark.parametrize("p", [4, 3, 2**61 - 1])
+def test_code_of_plane_names_p_and_the_characteristic(planes, p):
+    # one comparison with the plane's characteristic, with no trial
+    # division of p however large it is
+    t0 = time.perf_counter()
+    with pytest.raises(PrimeMismatchError, match=rf"^p = {p} is not the characteristic 2 "):
+        code_of_plane(planes[4], p)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("q,p,ddim", [(2, 2, 3), (4, 2, 11), (9, 3, 54)])
@@ -411,8 +461,8 @@ def test_mu_identities_on_random_dual_words(planes, q, p):
         w = CodeWord(p, (coeffs @ dual.generator) % p)
         assert w.mu() + w.neg().mu() == p * w.weight
         assert w.mu() % p == 0
-        for line in range(plane.npoints):
-            assert line_restriction_mu(w, plane, line) % p == 0
+        for line in range(plane.npoints):  # mu of the restriction to each line
+            assert int(w.values[plane.lines_arr[line]].sum()) % p == 0
 
 
 def test_indicator_of_baer_subplane_weight(planes):
@@ -427,13 +477,6 @@ def test_word_diff_self_is_zero(planes):
     plane = planes[4]
     w = indicator(plane.lines[3], 21, 2)
     assert word_diff(w, w).weight == 0
-
-
-def test_colour_classes():
-    w = CodeWord(5, np.array([0, 1, 4, 1, 0, 3]))
-    classes = w.colour_classes()
-    assert set(classes) == {1, 3, 4}
-    assert classes[1].tolist() == [1, 3]
 
 
 def test_incidence_matrix_rows_are_lines(planes):

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import builtins
 import dataclasses
 import inspect
 from pathlib import Path
@@ -25,8 +26,24 @@ def test_no_assert_statements_in_package():
 
 
 _REMOVED_CACHES = {"pair_line_rows", "pair_point_rows"}
-# names deleted with what they held; none may come back under the same name
-_REMOVED_NAMES = _REMOVED_CACHES | {"point_counts"}
+# names deleted with what they held; none may come back under the same name.
+# The functions that only tests called, and the int64 elimination bound that
+# no plane's characteristic reaches
+_REMOVED_NAMES = _REMOVED_CACHES | {
+    "point_counts",
+    "secant_profile",
+    "frobenius",
+    "in_subfield",
+    "elements",
+    "pow",
+    "check_subplane",
+    "slope",
+    "word_from_json",
+    "nullspace_mod_p",
+    "line_restriction_mu",
+    "colour_classes",
+    "_INT64_LIMIT",
+}
 
 
 def _identifiers(node):
@@ -69,9 +86,78 @@ def test_removed_names_stay_gone():
         f"{name}:{node.lineno}"
         for name, node in _package_nodes()
         if _REMOVED_NAMES.intersection(_identifiers(node))
+        and not (isinstance(node, ast.Name) and node.id in vars(builtins))  # pow(x, e, p)
     ]
     assert found == []
     assert "point_counts" not in {f.name for f in dataclasses.fields(WordAnalysis)}
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_CALLER_DIRS = ("src", "demos", "perfbench")
+# no caller yet: ROADMAP items 1, 4 and 7 time or extend the closure search
+_UNCALLED_BY_DESIGN = {"subplane_search"}
+
+
+def _public_functions(source: str):
+    """(name, first line, last line) of each public module-level function
+    and public method, except the acceptance rows criterion(...) registers."""
+    for node in ast.parse(source).body:
+        for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+            registered = any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "criterion"
+                for d in getattr(fn, "decorator_list", ())
+            )
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and not registered:
+                yield fn.name, fn.lineno, fn.end_lineno
+
+
+def _references(source: str):
+    """(name, line) of each identifier, imported name or alias, and string
+    constant (the benchmark tracer names the functions it wraps by string)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in (node.name.rpartition(".")[2], node.asname):
+                if name:
+                    yield name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _uncalled(package: dict, callers: dict) -> list[str]:
+    """Public functions of the package modules (name -> source) that no
+    caller module (path -> source) references outside their own definition."""
+    seen: dict[str, list] = {}
+    for path, source in callers.items():
+        for name, line in _references(source):
+            seen.setdefault(name, []).append((path, line))
+    return [
+        f"{module}:{name}"
+        for module, source in package.items()
+        for name, first, last in _public_functions(source)
+        if name not in _UNCALLED_BY_DESIGN
+        and not any(path != module or not first <= line <= last for path, line in seen.get(name, ()))
+    ]
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a function only tests call is behaviour no user reaches; an oracle a
+    # test needs lives in that test file
+    callers = {
+        str(path.relative_to(_REPO)): path.read_text()
+        for d in _CALLER_DIRS
+        for path in sorted((_REPO / d).rglob("*.py"))
+    }
+    package = {path: source for path, source in callers.items() if path.startswith("src/planecode/")}
+    assert len(package) >= 10
+    assert _uncalled(package, callers) == []
+    lone = "def used():\n    return unused\n\n\ndef unused():\n    return 'unused', unused\n"
+    assert _uncalled({"m.py": lone}, {"m.py": lone}) == ["m.py:used"]
+    rows = "@criterion('row')\ndef row(ctx):\n    pass\n"
+    assert _uncalled({"m.py": rows}, {"m.py": rows}) == []
 
 
 _FLOAT_DTYPES = ("float64", "float32", "float16")
