@@ -21,7 +21,7 @@ from .antipodal import (
 )
 from .codes import DEFAULT_ENUM_BUDGET, code_of_plane, dual_basis, enumerate_min_weight
 from .construct import antipodal_diff, baer_diff, line_diff, subplane_diff
-from .field import field_new, parse_field
+from .field import field_new, parse_field_spec
 from .geometry import (
     SubplaneResult,
     baer_subfield_subplane,
@@ -36,10 +36,8 @@ class CliError(ValueError):
 
 
 def _parse_field_args(args):
-    field = parse_field(args.field)
-    if args.modulus:
-        field = field_new(field.p, field.h, _int_list(args.modulus, "--modulus"))
-    return field
+    p, h = parse_field_spec(args.field)
+    return field_new(p, h, _int_list(args.modulus, "--modulus") if args.modulus else None)
 
 
 def _load_plane(args):

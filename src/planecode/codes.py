@@ -40,16 +40,14 @@ class BudgetExceededError(CodesError):
         )
 
 
-# Column-panel width of the elimination kernel.  The steps inside a panel,
-# and its one update of the trailing columns, each add at most this many
-# products of residues to an entry.
+# Column-panel width of the elimination kernel.
 _PANEL = 32
 # Integers below 2^53 are exact in IEEE double precision, so a floating-point
 # sum of nonnegative integer terms that stays below it is exact in any order
 # of summation (BLAS blocking, FMA): it is the integer itself, on every run.
 _FLOAT_LIMIT = 1 << 53
-# Entries per column slice of the trailing update and of its full reduction:
-# the temporary of each slice stays at 8 MB.
+# Entries per column slice of the trailing update: the temporary of each
+# slice stays at 8 MB.
 _SLICE_ENTRIES = 1 << 20
 
 
@@ -87,26 +85,27 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Z over the panel's pivot rows as the panel found them (V); only the pivot
     column and row are reduced per step, the panel once at its end (each step
     grows |entries| by at most (p-1)^2).  The trailing columns T are then
-    updated once: T <- keep*T + Z@V, keep being 0 on the pivot rows.  T is
-    reduced lazily: a panel's columns when the panel starts, V before each
-    update, and all of T only when a running bound on its (nonnegative)
-    entries would reach 2^53.  T is float64 and Z@V a BLAS product, exact
-    below that limit; a p with _PANEL*(p-1)^2 + p >= 2^53 is refused, far
-    above the characteristic (at most 4093) of any plane the package builds
-    or reads.  Every entry is an integer below the limit, so a float64
-    block is reduced by an exact cast to int64 and an int64 remainder, a
-    fraction of the cost of a float one.  The update and the full reduction
-    of T run in column slices of _SLICE_ENTRIES entries, so their
-    temporaries stay at 8 MB whatever the size of T.
+    updated once: T <- keep*T + Z@V, keep being 0 on the pivot rows, with a
+    panel's columns reduced when the panel starts and V before each update.
+    T is float64 and Z@V a BLAS product.  T's entries are nonnegative and
+    grow by at most (p-1)^2 per pivot, so a matrix with
+    cols*(p-1)^2 + p < 2^53 keeps every entry an exact integer without ever
+    reducing T as a whole; any other is refused before anything is
+    allocated.  That bound holds for every plane the package builds or reads
+    (p <= 4093, cols <= 4093^2+4093+1).  A float64 block is reduced by an
+    exact cast to int64 and an int64 remainder, a fraction of the cost of a
+    float one.  The update runs in column slices of _SLICE_ENTRIES entries,
+    so its temporaries stay at 8 MB whatever the size of T.
     """
-    if not _fits(_PANEL, p, _FLOAT_LIMIT):
-        raise CodesError(f"p = {p} is too large for the float64 elimination kernel")
     mat = np.asarray(mat)
+    rows, cols = mat.shape
+    if not _fits(cols, p, _FLOAT_LIMIT):
+        raise CodesError(
+            f"{cols} columns at p = {p} are too large for the float64 elimination kernel"
+        )
     # p as an int64 scalar: a uint8 matrix (the incidence matrix) is promoted
     # element-wise into the working matrix, and a p above 255 cannot overflow
     m = np.remainder(mat, np.int64(p), out=np.empty(mat.shape, dtype=np.float64))
-    rows, cols = m.shape
-    bound = p - 1  # on the entries of the columns not yet eliminated
     pivots: list[int] = []
     r = 0
     for c0 in range(0, cols, _PANEL):
@@ -141,19 +140,12 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if src and c1 < cols:
             t = m[:, c1:]
             step = max(1, _SLICE_ENTRIES // rows)
-            grow = len(src) * (p - 1) ** 2
-            if bound + grow >= _FLOAT_LIMIT:
-                for j in range(0, t.shape[1], step):
-                    blk = t[:, j : j + step]
-                    np.remainder(blk.astype(np.int64, copy=False), p, out=blk)
-                bound = p - 1
             v = t[src]  # the pivot rows as the panel found them
             np.remainder(v.astype(np.int64, copy=False), p, out=v)
             t[src] = 0
             z = a[:, w : w + len(src)].astype(np.float64)
             for j in range(0, t.shape[1], step):
                 t[:, j : j + step] += z @ v[:, j : j + step]
-            bound += grow
     out = m[:r].astype(np.int64)
     out %= p
     return out, pivots

@@ -262,10 +262,13 @@ def field_new(p: int, h: int = 1, modulus: Sequence[int] | None = None) -> Field
     return Field(p, h, modulus)
 
 
-def parse_field(spec: str) -> Field:
-    """Parse a "p^h" or "p" string, e.g. "3^2" or "7"."""
+def parse_field_spec(spec: str) -> tuple[int, int]:
+    """(p, h) of a "p^h" or "p" string, e.g. "3^2" or "7"."""
     s = spec.strip()
-    if "^" in s:
-        ps, hs = s.split("^", 1)
-        return field_new(int(ps), int(hs))
-    return field_new(int(s), 1)
+    ps, hs = s.split("^", 1) if "^" in s else (s, "1")
+    return int(ps), int(hs)
+
+
+def parse_field(spec: str) -> Field:
+    """The field of a "p^h" or "p" string, with the default modulus."""
+    return field_new(*parse_field_spec(spec))

@@ -422,8 +422,7 @@ def _closure(
                 spanned.add(row[b])
             if len(spanned) > cap:
                 return None
-        if len(spanned) > cap:
-            return None
+        # the loop's last pass has tested the cap on the whole span
         new: set[int] = set()
         llist = sorted(spanned)
         for i, l1 in enumerate(llist):
@@ -444,7 +443,8 @@ def _closure(
 def subplane_result_from_points(plane: Plane, pts: frozenset, m: int) -> SubplaneResult | None:
     """Validate a candidate point set as a subplane of order m; None if it is not one."""
     N = m * m + m + 1
-    if len(pts) != N or min(pts) < 0 or max(pts) >= plane.npoints:
+    # order 1 would accept any triangle; a plane has order at least 2
+    if m < 2 or len(pts) != N or min(pts) < 0 or max(pts) >= plane.npoints:
         return None
     counts = plane.line_counts(pts)
     # With every line meeting the set in 0, 1 or m+1 points, each of its

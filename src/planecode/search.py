@@ -52,14 +52,9 @@ class Embedding:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    prunes: dict = dc_field(
-        default_factory=lambda: {
-            "injectivity": 0,
-            "incidence": 0,
-            "non_incidence": 0,
-            "line_injectivity": 0,
-        }
-    )
+    # no injectivity prunes: candidates are unused points, and a repeated
+    # line image holds a third used point, which these two prunes catch
+    prunes: dict = dc_field(default_factory=lambda: {"incidence": 0, "non_incidence": 0})
     seconds: float = 0.0
 
 
@@ -159,13 +154,7 @@ class _Searcher:
         self.lmap = [-1] * self.nl
         self.placed = [0] * self.nl
         self.det_lines: list[int] = []  # currently determined pls lines
-        self.used_lines: set[int] = set()
         self.found: list[Embedding] = []
-        # line membership bitmasks over pls points, for O(1) tests
-        self.line_mask = [0] * self.nl
-        for li, l in enumerate(pls.lines):
-            for x in l:
-                self.line_mask[li] |= 1 << x
 
     # -- assignment with propagation ------------------------------------------
 
@@ -175,15 +164,13 @@ class _Searcher:
         stats.nodes += 1
         if stats.nodes > self.budget:
             raise BudgetExceeded
-        if self.used[v]:
-            stats.prunes["injectivity"] += 1
-            return None
+        # v is unused: candidates() offers no used point, and the pinned
+        # frame images are four distinct points placed first
         pls, plane = self.pls, self.plane
-        pbit = 1 << p
         # against already-determined line images
         for li in self.det_lines:
             on_img = self.lmap[li] in plane.point_lines[v]
-            if self.line_mask[li] & pbit:
+            if p in pls.line_sets[li]:
                 if not on_img:
                     stats.prunes["incidence"] += 1
                     return None
@@ -205,18 +192,15 @@ class _Searcher:
                 stats.prunes["incidence"] += 1
                 self.undo(journal)
                 return None
-            if img in self.used_lines:
-                stats.prunes["line_injectivity"] += 1
-                self.undo(journal)
-                return None
             # the image joins the images of li's two placed points; any
-            # further used point on it is a placed point off li
+            # further used point on it is a placed point off li.  An image
+            # already taken by another line holds such a point, so line
+            # images stay distinct without a test of their own.
             if sum(map(self.used.__getitem__, plane.lines[img])) > 2:
                 stats.prunes["non_incidence"] += 1
                 self.undo(journal)
                 return None
             self.lmap[li] = img
-            self.used_lines.add(img)
             self.det_lines.append(li)
             journal.append(li)
         return journal
@@ -224,7 +208,6 @@ class _Searcher:
     def undo(self, journal: list) -> None:
         p = journal[0]
         for li in journal[1:]:
-            self.used_lines.discard(self.lmap[li])
             self.lmap[li] = -1
             self.det_lines.pop()
         for li in self.pls.point_lines[p]:

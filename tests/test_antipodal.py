@@ -105,9 +105,7 @@ def test_isomorphism_search_counts_are_pinned():
     out = search.embed_search(antipodal_from_pg24(), cyclic_antipodal(3))
     assert out.status == "found"
     assert out.stats.nodes == 34
-    assert out.stats.prunes == {
-        "injectivity": 0, "incidence": 10, "non_incidence": 0, "line_injectivity": 0,
-    }
+    assert out.stats.prunes == {"incidence": 10, "non_incidence": 0}
 
 
 def test_isomorphism_rejects_different_structures():

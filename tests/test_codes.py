@@ -24,7 +24,7 @@ from planecode.codes import (
     rref_mod_p,
     word_diff,
 )
-from planecode.field import FieldError, field_new
+from planecode.field import FieldError, field_new, is_prime
 from planecode.geometry import pg2
 
 
@@ -118,54 +118,55 @@ def test_rref_near_the_int64_bound():
 
 def test_the_float64_bound_covers_every_plane_the_package_builds():
     # Field holds at most 4096 elements, so a plane's characteristic is at
-    # most 4093: a panel, and even a product over all N points of PG(2,4093),
-    # stays exact in float64
+    # most 4093: the elimination of any matrix over all N points of
+    # PG(2,4093), and any product over them, stays exact in float64
     p = 4093
-    assert codes._fits(codes._PANEL, p, codes._FLOAT_LIMIT)
     assert codes._fits(p * p + p + 1, p, codes._FLOAT_LIMIT)
     with pytest.raises(FieldError, match="lookup-table limit"):
         field_new(4099)
 
 
-@pytest.mark.parametrize("p,float_path", [(16777213, True), (16777259, False)])
-def test_rref_on_both_sides_of_the_float64_bound(p, float_path):
-    # the largest prime below 2^24 and the next prime above it, which is refused
-    assert codes._fits(codes._PANEL, p, codes._FLOAT_LIMIT) == float_path
-    # seven full panels: on the float64 path the trailing block is reduced
-    # before nearly every update, and unreduced it would pass 2^53
+def test_rref_column_bound_at_the_largest_float64_prime():
+    # the largest prime below 2^24: 32 columns fit the bound, 33 do not
+    p = 16777213
+    assert codes._fits(32, p, codes._FLOAT_LIMIT) and not codes._fits(33, p, codes._FLOAT_LIMIT)
+    rng = np.random.default_rng(p)
+    m = rng.integers(0, p, size=(40, 33))
+    want, want_piv = reference_rref(m[:, :32], p)
+    got, got_piv = rref_mod_p(m[:, :32], p)
+    assert got_piv == want_piv and np.array_equal(got, want)
+    with pytest.raises(CodesError, match="too large"):
+        rref_mod_p(m, p)
+
+
+# The largest prime whose bound admits 260 columns, and the next prime
+P_260, P_260_NEXT = 5885833, 5885843
+
+
+@pytest.mark.parametrize("p", [P_260, P_260_NEXT])
+def test_rref_on_both_sides_of_the_float64_bound(p):
+    assert is_prime(P_260) and is_prime(P_260_NEXT)
+    assert not any(is_prime(x) for x in range(P_260 + 1, P_260_NEXT))
     rng = np.random.default_rng(p)
     m = rng.integers(0, p, size=(200, 260))
     m[:, 40] = (m[:, 0] + 3 * m[:, 35]) % p  # a non-pivot column in the second panel
-    if not float_path:
+    if p == P_260_NEXT:
+        assert not codes._fits(260, p, codes._FLOAT_LIMIT)
         with pytest.raises(CodesError, match="too large"):
             rref_mod_p(m, p)
         return
+    # seven full panels and T never reduced as a whole: its entries come
+    # closest to 2^53 here, and an inexact one would give a wrong residue
+    assert codes._fits(260, p, codes._FLOAT_LIMIT)
     want, want_piv = reference_rref(m, p)
     got, got_piv = rref_mod_p(m, p)
-    assert got_piv == want_piv and np.array_equal(got, want)
-
-
-def test_rref_reduces_the_trailing_block_mid_elimination():
-    p = 4194301  # the largest prime below 2^22
-    # float64 path; 17 panels of 32 pivots each push the trailing block's
-    # bound past 2^53, so it is reduced at least once before the end (random
-    # entries stay well below 2^53; the 16777213 case above would catch a
-    # missing reduction)
-    assert codes._fits(codes._PANEL, p, codes._FLOAT_LIMIT)
-    assert (p - 1) + 17 * codes._PANEL * (p - 1) ** 2 >= codes._FLOAT_LIMIT
-    rng = np.random.default_rng(22)
-    m = rng.integers(0, p, size=(576, 608))
-    want, want_piv = reference_rref(m, p)
-    got, got_piv = rref_mod_p(m, p)
-    assert len(got_piv) == 576
     assert got_piv == want_piv and np.array_equal(got, want)
 
 
 def test_rref_in_narrow_column_slices(monkeypatch):
-    # slices of 7 columns, not dividing the trailing block: the update and
-    # the full reductions (before nearly every update at this p, as above)
-    # run in many slices and give the one-pivot-at-a-time result
-    p = 16777213
+    # slices of 7 columns, not dividing the trailing block: the update runs
+    # in many slices and gives the one-pivot-at-a-time result
+    p = P_260
     rng = np.random.default_rng(23)
     m = rng.integers(0, p, size=(200, 260))
     m[:, 100] = (m[:, 3] + 5 * m[:, 90]) % p

@@ -186,6 +186,7 @@ def test_antipodal_diff_weight16_experiment(pg9):
     w, dual = antipodal_diff(pg9, (mk, first), (mk, second))
     assert w.weight == 16  # 2p^2 - 2p + 4 for p = 3
     assert dual == is_dual_word(w, pg9)[0]
+    assert not dual  # so criterion 10 has no antipodal word to analyse at q=9
 
 
 def test_antipodal_diff_rejects_overlapping_images(pg9):

@@ -1,9 +1,11 @@
 import json
 import time
+import types
 
 import pytest
 
-from planecode import formats
+from planecode import cli, formats
+from planecode import field as field_module
 from planecode.antipodal import cyclic_antipodal
 from planecode.cli import main
 from planecode.construct import baer_diff
@@ -321,6 +323,40 @@ def test_cli_subplane_with_a_negative_index_alias(capsys, pg4):
     )
     assert code == 1
     assert record["outcome"]["error"] == "CliError"
+
+
+def test_cli_subplane_diff_refuses_a_triangle(capsys):
+    # three points are no subplane: a plane has order at least 2
+    code, record = run_cli(
+        capsys, "construct", "subplane-diff", "--field", "3",
+        "--points1", "0 1 5", "--points2", "2 6 9",
+    )
+    assert code == 1
+    assert record["outcome"]["error"] == "CliError"
+    assert record["outcome"]["message"] == "point set of size 3 is not a subplane"
+
+
+def test_cli_builds_a_field_with_a_modulus_once(capsys, monkeypatch):
+    # x^12 + x^6 + x^4 + x + 1; the plane itself (16.8 million points) is stubbed
+    modulus = [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]
+    built = []
+    init = field_module.Field.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(field_module.Field, "__init__", counting)
+    monkeypatch.setattr(
+        cli, "pg2", lambda f: types.SimpleNamespace(order=f.q, npoints=f.q * f.q + f.q + 1)
+    )
+    code, record = run_cli(
+        capsys, "plane", "build", "--field", "2^12", "--modulus", ",".join(map(str, modulus))
+    )
+    assert code == 0
+    assert built == [(2, 12, modulus)]
+    assert record["outcome"]["modulus"] == modulus
+    assert record["outcome"]["order"] == 4096
 
 
 def test_cli_usage_error_exit_2():

@@ -1000,3 +1000,14 @@ def test_baer_partition_raises_on_a_member_that_fails_validation(pg9, monkeypatc
     monkeypatch.setattr(geometry, "subplane_result_from_points", lambda plane, pts, m: None)
     with pytest.raises(GeometryError, match="not a Baer subplane"):
         baer_partition(pg9)
+
+
+def test_validator_refuses_order_one():
+    # a triangle passes the axioms of a subplane of order 1 (the reference
+    # scan accepts it), but Plane and subplane_search both start at order 2
+    plane = pg2(field_new(3))
+    triangle = frozenset({0, 1, 4})
+    assert reference_subplane_result_from_points(plane, triangle, 1) is not None
+    assert subplane_result_from_points(plane, triangle, 1) is None
+    with pytest.raises(GeometryError, match=">= 2"):
+        subplane_search(plane, 1)

@@ -2,10 +2,13 @@ import os
 
 import pytest
 
+from planecode import search
 from planecode.antipodal import (
     AntipodalError,
+    antipodal_from_pg24,
     cyclic_antipodal,
     find_good_triangle,
+    isomorphism,
     mobius_kantor_pls,
     PartialLinearSpace,
     validate_antipodal,
@@ -125,16 +128,50 @@ def test_plain_search_counts_are_pinned():
     assert out.status == "found"
     assert len(out.embeddings) == 5616
     assert out.stats.nodes == 31681
-    assert out.stats.prunes == {
-        "injectivity": 0, "incidence": 0, "non_incidence": 5928, "line_injectivity": 0,
-    }
+    assert out.stats.prunes == {"incidence": 0, "non_incidence": 5928}
     out = embed_search(AP3, ingested(plane_of(5)), budget=100_000)
     assert out.status == "budget-exceeded"
     assert out.embeddings == []
     assert out.stats.nodes == 100_001
-    assert out.stats.prunes == {
-        "injectivity": 0, "incidence": 20248, "non_incidence": 10808, "line_injectivity": 0,
-    }
+    assert out.stats.prunes == {"incidence": 20248, "non_incidence": 10808}
+
+
+def test_the_engine_offers_unused_points_and_forces_distinct_line_images(monkeypatch):
+    # the engine tests neither injectivity: every offered image must be
+    # unused, and the determined line images must stay pairwise distinct
+    real = search._Searcher.assign
+    offered = []
+
+    def checked(self, p, v):
+        assert not self.used[v], (p, v)
+        offered.append(v)
+        journal = real(self, p, v)
+        if journal is not None:
+            images = [self.lmap[li] for li in self.det_lines]
+            assert len(set(images)) == len(images), images
+        return journal
+
+    monkeypatch.setattr(search._Searcher, "assign", checked)
+
+    def run(pls, target, **kwargs):
+        before = len(offered)
+        out = embed_search(pls, target, **kwargs)
+        assert len(offered) - before == out.stats.nodes  # each node went through the oracle
+        return out
+
+    out = run(MK, ingested(plane_of(3)), cap=10**6)
+    assert (len(out.embeddings), out.stats.nodes) == (5616, 31681)
+    assert run(AP3, ingested(plane_of(5)), budget=100_000).status == "budget-exceeded"
+    out = run(AP3, plane_of(4), cap=10**6)  # the frame pinned
+    assert (len(out.embeddings), out.stats.nodes) == (2, 21)
+    before = len(offered)
+    assert isomorphism(antipodal_from_pg24(), AP3) is not None  # a pls target
+    assert len(offered) - before == 34
+    pg9 = plane_of(9)
+    first = run(MK, pg9).embeddings[0]
+    out = run(MK, pg9, cap=200, exclude=frozenset(first.point_map))
+    assert len(out.embeddings) == 200
+    assert not set(first.point_map) & {v for e in out.embeddings for v in e.point_map}
 
 
 def test_search_determinism():

@@ -43,6 +43,8 @@ _REMOVED_NAMES = _REMOVED_CACHES | {
     "line_restriction_mu",
     "colour_classes",
     "_INT64_LIMIT",
+    "used_lines",
+    "line_mask",
 }
 
 
