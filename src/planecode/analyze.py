@@ -308,7 +308,7 @@ def _analysis(
         tangents=int((line_counts == 1).sum()),
         colours={lam: n for lam, n in enumerate(sizes) if lam and n},
         mu=canonical.mu(),
-        mu_neg=canonical.neg().mu(),
+        mu_neg=int(np.remainder(-canonical.values[support], p).sum()),  # mu(-c), its symbols in [0, p)
         x=x,
         y=y,
         z=z,

@@ -58,37 +58,71 @@ def _parse_header(text: str, usage: str) -> tuple[int, dict[str, int], list]:
     return line, fields, numbered[1:]
 
 
-def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], list]:
-    """The header and the integer point rows of a plane or pls file; every
-    point index must lie below the header's points=, no row may repeat a
-    point, a row must have n+1 points (a plane of order n) or at least 2
-    (a pls), and the number of rows must equal its lines=."""
+_PLAIN = b"0123456789 \t"  # the bytes of a body line that needs no int() parse
+_INT64_MAX = np.iinfo(np.int64).max  # np.fromstring's value for an index too large for int64
+
+
+def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], np.ndarray, np.ndarray]:
+    """The header, the point indices of a plane or pls file in one int64
+    array, and the number of points in each row.  Every point index must
+    lie below the header's points=, no row may repeat a point, a row must
+    have n+1 points (a plane of order n) or at least 2 (a pls), and the
+    number of rows must equal its lines=.  The first faulty row raises."""
     line, fields, body = _parse_header(text, usage)
     npoints = fields["points"]
     size = fields["n"] + 1 if "n" in fields else None
-    rows = []
-    for n, entry in body:
-        try:
-            row = list(map(int, entry.split()))
-        except ValueError:
-            raise FormatError(f"line {n}: non-integer entry in {entry.strip()!r}") from None
-        if min(row) < 0 or max(row) >= npoints:
-            raise FormatError(
-                f"line {n}: point index outside 0..{npoints - 1} in {entry.strip()!r}"
-            )
-        if len(set(row)) != len(row):
-            raise FormatError(f"line {n}: repeated point in {entry.strip()!r}")
-        if len(row) != size if size else len(row) < 2:
-            raise FormatError(
-                f"line {n}: row {entry.strip()!r} of size {len(row)}, "
-                f"expected {size or 'at least 2'} points"
-            )
-        rows.append(row)
-    if len(rows) != fields["lines"]:
+    entries = [entry for _, entry in body]
+    stop = len(entries)  # the first row that is not all integers
+    if not _plain("".join(entries)):  # a sign, or a form only int() reads
+        for i, entry in enumerate(entries):
+            if not _plain(entry):
+                try:
+                    entries[i] = " ".join(map(str, map(int, entry.split())))
+                except ValueError:
+                    stop = i
+                    break
+    counts = np.array([len(entry.split()) for entry in entries[:stop]], dtype=np.int64)
+    vals = np.fromstring(" ".join(entries[:stop]), dtype=np.int64, sep=" ")
+    row = np.arange(stop).repeat(counts)
+    order = np.lexsort((vals, row))  # by row, then by point
+    same = (vals[order[1:]] == vals[order[:-1]]) & (row[order[1:]] == row[order[:-1]])
+    # the rows the arrays cannot clear are read again, in file order, and
+    # the first the per-row check faults raises
+    suspect = np.zeros(stop + 1, dtype=bool)
+    suspect[row[(vals < 0) | (vals >= npoints) | (vals == _INT64_MAX)]] = True
+    suspect[row[order[1:]][same]] = True
+    suspect[:stop] |= counts != size if size else counts < 2
+    suspect[stop] = stop < len(entries)
+    for i in np.flatnonzero(suspect).tolist():
+        n, entry = body[i]
+        fault = _row_fault(entry, npoints, size)
+        if fault:
+            raise FormatError(f"line {n}: {fault}")
+    if len(entries) != fields["lines"]:
         raise FormatError(
-            f"line {line}: header says lines={fields['lines']}, file has {len(rows)} rows"
+            f"line {line}: header says lines={fields['lines']}, file has {len(entries)} rows"
         )
-    return line, fields, rows
+    return line, fields, vals, counts
+
+
+def _plain(text: str) -> bool:
+    """Whether text holds only ASCII digits, spaces and tabs."""
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
+
+
+def _row_fault(entry: str, npoints: int, size: int | None) -> str | None:
+    """What is wrong with one row of a plane or pls file, or None."""
+    try:
+        row = list(map(int, entry.split()))
+    except ValueError:
+        return f"non-integer entry in {entry.strip()!r}"
+    if min(row) < 0 or max(row) >= npoints:
+        return f"point index outside 0..{npoints - 1} in {entry.strip()!r}"
+    if len(set(row)) != len(row):
+        return f"repeated point in {entry.strip()!r}"
+    if len(row) != size if size else len(row) < 2:
+        return f"row {entry.strip()!r} of size {len(row)}, expected {size or 'at least 2'} points"
+    return None
 
 
 # -- planes ----------------------------------------------------------------------
@@ -96,19 +130,19 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], list]:
 
 def plane_to_text(plane: Plane) -> str:
     head = f"plane n={plane.order} points={plane.npoints} lines={plane.npoints}"
-    body = "\n".join(" ".join(str(p) for p in l) for l in plane.lines)
+    body = "\n".join(" ".join(map(str, l)) for l in plane.lines_arr.tolist())
     return head + "\n" + body + "\n"
 
 
 def plane_from_text(text: str) -> Plane:
-    line, fields, rows = _incidence_rows(text, "plane n=<n> points=<N> lines=<N>")
+    line, fields, vals, _ = _incidence_rows(text, "plane n=<n> points=<N> lines=<N>")
     n = fields["n"]
     if fields["points"] != n * n + n + 1:
         raise FormatError(
             f"line {line}: points={fields['points']}, but a plane of order {n} "
             f"has {n * n + n + 1}"
         )
-    return plane_from_incidence(rows, n)
+    return plane_from_incidence(vals.reshape(-1, n + 1), n)
 
 
 def write_plane(plane: Plane, path) -> None:
@@ -129,8 +163,9 @@ def pls_to_text(pls: PartialLinearSpace) -> str:
 
 
 def pls_from_text(text: str) -> PartialLinearSpace:
-    _, fields, rows = _incidence_rows(text, "pls points=<N> lines=<M>")
-    return PartialLinearSpace(fields["points"], rows)
+    _, fields, vals, counts = _incidence_rows(text, "pls points=<N> lines=<M>")
+    flat, ends = vals.tolist(), np.cumsum(counts).tolist()
+    return PartialLinearSpace(fields["points"], [flat[e - c : e] for e, c in zip(ends, counts.tolist())])
 
 
 def write_pls(pls: PartialLinearSpace, path) -> None:

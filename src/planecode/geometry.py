@@ -2,7 +2,7 @@
 Singer cycles, subplanes, slopes.
 
 A plane of order n is stored as indexed point and line sets (both of size
-n^2+n+1) with lines as sorted tuples of point indices.  Generated planes
+n^2+n+1) with lines as sorted int32 rows of point indices.  Generated planes
 keep homogeneous coordinates (triples of field element codes, normalized so
 the first nonzero coordinate is 1) for points and lines; ingestion accepts
 raw incidence rows and validates the plane axioms.
@@ -14,6 +14,7 @@ identical.  Ingested planes keep file order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import mmap
 from dataclasses import dataclass
@@ -93,31 +94,45 @@ class Plane:
         lines: np.ndarray | list[tuple[int, ...]],  # one row of point indices per line
     ):
         self.order = order
-        self.npoints = N = order * order + order + 1
+        self.npoints = order * order + order + 1
         self.source = "ingested"
         self.field: Field | None = None
         self.coords: tuple[tuple[int, int, int], ...] | None = None
         self.coords_arr: np.ndarray | None = None
-        self.lines_arr = _checked_lines(lines, order)
-        self.lines = _int_rows(self.lines_arr, N)
-        # a stable sort of the incidences by point keeps each point's lines ascending
-        by_point = np.argsort(self.lines_arr.ravel(), kind="stable").astype(np.int32)
-        self.point_lines_arr = (by_point // np.int32(order + 1)).reshape(N, order + 1)
-        self.point_lines = _int_rows(self.point_lines_arr, N)
+        self.lines_arr, self.point_lines_arr = _checked_lines(lines, order)
         self._pair_line: np.ndarray | None = None
         self._pair_point: np.ndarray | None = None
+
+    @functools.cached_property
+    def lines(self) -> tuple[tuple[int, ...], ...]:
+        """The points of each line as tuples, built on first read."""
+        return _int_rows(self.lines_arr, self.npoints)
+
+    @functools.cached_property
+    def point_lines(self) -> tuple[tuple[int, ...], ...]:
+        """The lines through each point as tuples, built on first read."""
+        return _int_rows(self.point_lines_arr, self.npoints)
 
     # -- queries ----------------------------------------------------------------
 
     def is_incident(self, point: int, line: int) -> bool:
-        return line in self.point_lines[point]
+        N = self.npoints
+        if not (0 <= point < N and 0 <= line < N):
+            raise _outside(N, ("point", point), ("line", line))
+        return line in self.point_lines_arr[point]
 
     def line_through(self, p: int, q: int) -> int:
+        N = self.npoints
+        if not (0 <= p < N and 0 <= q < N):
+            raise _outside(N, ("point", p), ("point", q))
         if p == q:
             raise SamePointError(f"line_through needs two distinct points, got {p}")
         return self.pair_line().item(p, q)  # a Python int, without a numpy scalar
 
     def meet(self, l1: int, l2: int) -> int:
+        N = self.npoints
+        if not (0 <= l1 < N and 0 <= l2 < N):
+            raise _outside(N, ("line", l1), ("line", l2))
         if l1 == l2:
             raise SameLineError(f"meet needs two distinct lines, got {l1}")
         return int(self.pair_point()[l1, l2])
@@ -158,14 +173,22 @@ class Plane:
 
 
 _CHUNK_CELLS = 1 << 17  # table cells per chunk when building a pair table
-_CHUNK_KEYS = 1 << 13  # pair keys per chunk of the coverage check: 64 KiB of int64
+_CHUNK_INCIDENCES = 1 << 13  # marked cells per chunk of the pencil check: 64 KiB of intp
 
 
-def _checked_lines(lines, n: int) -> np.ndarray:
-    """The lines (point rows) as an int32 array with sorted rows.  Raises
-    unless they form a projective plane of order n, for the first failing
-    line: on its size or a repeated point, an index out of range, or its
-    first pair (a, b) an earlier line j holds (witness (a, b, j, line))."""
+def _outside(N: int, *indices: tuple[str, int]) -> GeometryError:
+    """The error for the first (kind, index) outside 0..N-1: Python and
+    numpy would read a negative index from the end."""
+    kind, i = next((kind, i) for kind, i in indices if not 0 <= i < N)
+    return GeometryError(f"{kind} index {i} is outside 0..{N - 1}")
+
+
+def _checked_lines(lines, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lines (point rows) as an int32 array with sorted rows, and the
+    lines through each point, ascending.  Raises unless they form a
+    projective plane of order n, for the first failing line: on its size or
+    a repeated point, an index out of range, or its first pair (a, b) an
+    earlier line j holds (witness (a, b, j, line))."""
     N = n * n + n + 1
     if n < 2:
         raise BadShapeError(f"plane order must be >= 2, got {n}")
@@ -175,22 +198,17 @@ def _checked_lines(lines, n: int) -> np.ndarray:
     arr = np.sort(np.array(lines[:stop], dtype=np.int32).reshape(stop, n + 1), axis=1)
     bad = (arr[:, 1:] == arr[:, :-1]).any(axis=1) | (arr[:, 0] < 0) | (arr[:, -1] >= N)
     stop = int(np.argmax(bad)) if bad.any() else stop
-    # N lines of n+1 distinct points hold N*C(n+1,2) = C(N,2) pairs a < b, as
-    # many as there are: all are covered iff no pair lies on two lines.  Then
-    # every point has degree n+1, and the N*C(n+1,2) = C(N,2) (line pair,
-    # common point) incidences make any two lines meet exactly once.  The
-    # covered pairs are one byte each, in an anonymous map (see _pair_table),
-    # scattered in chunks whose key arrays stay below glibc's mmap threshold.
-    a, b = np.triu_indices(n + 1, 1)
-    good = arr[:stop]
-    covered = np.frombuffer(mmap.mmap(-1, N * N), dtype=np.bool_)
-    step = max(1, _CHUNK_KEYS // len(a))
-    for s in range(0, stop, step):
-        covered[_pair_keys(good[s : s + step], N, a, b)] = True
-    if stop == N and np.count_nonzero(covered) == N * (N - 1) // 2:
-        return arr
+    if stop == N and (np.bincount(arr.ravel(), minlength=N) == n + 1).all():
+        # each incidence as the key point*N + line: one sort lists every
+        # point's lines in ascending order
+        keys = np.sort(arr.ravel() * np.int64(N) + np.arange(N).repeat(n + 1))
+        point_lines = (keys % N).astype(np.int32).reshape(N, n + 1)
+        if _pencils_cover(arr, point_lines):
+            return arr, point_lines
     # each pair a < b of the lines before stop as a key, in line order; a key
     # met earlier in that order is a pair an earlier line holds
+    a, b = np.triu_indices(n + 1, 1)
+    good = arr[:stop]
     keys = _pair_keys(good, N, a, b).ravel()
     order = np.argsort(keys, kind="stable")
     later = order[1:][keys[order[1:]] == keys[order[:-1]]]
@@ -203,6 +221,31 @@ def _checked_lines(lines, n: int) -> np.ndarray:
     if len(l) != n + 1 or len(set(l)) != n + 1:
         raise AxiomViolationError("line size", (stop, l))
     raise BadShapeError(f"line {stop} has out-of-range point index")
+
+
+def _pencils_cover(lines: np.ndarray, point_lines: np.ndarray) -> bool:
+    """Whether the lines through each point cover every point, for N lines
+    of n+1 distinct points with n+1 lines through each point.
+
+    The n+1 lines through x hold x and (n+1)*n = N-1 other places, so they
+    cover the plane iff no point shares two of them with x: over all x, iff
+    no pair lies on two lines.  As N lines of n+1 points hold N*C(n+1,2) =
+    C(N,2) pairs, each pair then lies on exactly one line, and as many
+    (line pair, common point) incidences make any two lines meet once.
+    A chunk of points marks a chunk x N byte map; its cell indices (a
+    pencil's (n+1)^2 at least) stay below glibc's mmap threshold up to
+    order 125, so the heap serves them instead of mapping each."""
+    N, k = point_lines.shape
+    step = max(1, _CHUNK_INCIDENCES // (k * k))
+    rows = (np.arange(step, dtype=np.intp) * N)[:, None, None]
+    for s in range(0, N, step):
+        pencils = lines[point_lines[s : s + step]]  # chunk x (n+1) x (n+1) points
+        cells = pencils + rows[: len(pencils)]  # point y of the pencil of s+i marks cell i*N + y
+        seen = np.zeros(len(cells) * N, dtype=np.bool_)
+        seen[cells.ravel()] = True
+        if not seen.all():
+            return False
+    return True
 
 
 def _pair_keys(rows: np.ndarray, N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -330,11 +373,16 @@ def collineation(plane: Plane, matrix, frob: int = 0) -> np.ndarray:
     return _point_indices(f, *y)
 
 
-def plane_from_incidence(rows: list[list[int]], n: int) -> Plane:
-    """Build a validated plane of order n from raw point-index rows (one per line)."""
+def plane_from_incidence(rows: np.ndarray | list[list[int]], n: int) -> Plane:
+    """Build a validated plane of order n from raw point-index rows (one per
+    line): an integer array, or lists of ints of any size."""
     if n > INGEST_ORDER_CAP:
         raise BadShapeError(f"ingestion is capped at order {INGEST_ORDER_CAP}, got {n}")
-    if any(min(r) < -(2**31) or max(r) >= 2**31 for r in rows if len(r)):
+    if isinstance(rows, np.ndarray):
+        flat = rows.ravel()
+    else:  # exact Python ints, whatever their size
+        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=object)
+    if flat.size and (flat.min() < -(2**31) or flat.max() >= 2**31):
         raise BadShapeError("a point index does not fit in 32 bits")
     return Plane(n, rows)
 

@@ -1,7 +1,9 @@
 import json
+import random
 import time
 import types
 
+import numpy as np
 import pytest
 
 from planecode import cli, formats
@@ -85,6 +87,128 @@ PLANE, PLS = formats.plane_from_text, formats.pls_from_text
 def test_plane_and_pls_text_reject_malformed_files(parse, text, match):
     with pytest.raises(formats.FormatError, match=match):
         parse(text)
+
+
+def reference_incidence_rows(text, usage):
+    """The per-line parser of plane and pls bodies: every row through int()
+    and its checks in file order."""
+    line, fields, body = formats._parse_header(text, usage)
+    npoints = fields["points"]
+    size = fields["n"] + 1 if "n" in fields else None
+    rows = []
+    for n, entry in body:
+        try:
+            row = list(map(int, entry.split()))
+        except ValueError:
+            raise formats.FormatError(f"line {n}: non-integer entry in {entry.strip()!r}") from None
+        if min(row) < 0 or max(row) >= npoints:
+            raise formats.FormatError(
+                f"line {n}: point index outside 0..{npoints - 1} in {entry.strip()!r}"
+            )
+        if len(set(row)) != len(row):
+            raise formats.FormatError(f"line {n}: repeated point in {entry.strip()!r}")
+        if len(row) != size if size else len(row) < 2:
+            raise formats.FormatError(
+                f"line {n}: row {entry.strip()!r} of size {len(row)}, "
+                f"expected {size or 'at least 2'} points"
+            )
+        rows.append(row)
+    if len(rows) != fields["lines"]:
+        raise formats.FormatError(
+            f"line {line}: header says lines={fields['lines']}, file has {len(rows)} rows"
+        )
+    return rows
+
+
+def _parsed_rows(parse, text, usage):
+    """The rows parse reads from text, or the message of its FormatError."""
+    try:
+        got = parse(text, usage)
+    except formats.FormatError as e:
+        return str(e)
+    if isinstance(got, list):
+        return got
+    _, _, vals, counts = got
+    ends = np.cumsum(counts).tolist()
+    return [vals[e - c : e].tolist() for e, c in zip(ends, counts.tolist())]
+
+
+def _non_integer(rows, rng):
+    row = rows[rng.randrange(len(rows))]
+    row[rng.randrange(len(row))] = rng.choice(
+        ["x", "1.5", "-", "+", "- 3", "3-", "0x1", "1e2", "٣", "1_0", "+3", "007", "\x1f4"]
+    )
+
+
+def _index_out_of_range(rows, rng):
+    row = rows[rng.randrange(len(rows))]
+    row[rng.randrange(len(row))] = rng.choice([-1, "-0", len(rows), len(rows) + 9])
+
+
+def _repeated_point(rows, rng):
+    row = rows[rng.randrange(len(rows))]
+    a, b = rng.sample(range(len(row)), 2)
+    row[a] = row[b]
+
+
+def _short_row(rows, rng):
+    row = rows[rng.randrange(len(rows))]
+    del row[rng.randrange(len(row)) :]  # down to no point: a blank line drops the row
+
+
+def _long_row(rows, rng):
+    rows[rng.randrange(len(rows))].append(rng.randrange(len(rows)))
+
+
+def _missing_row(rows, rng):
+    del rows[rng.randrange(len(rows))]
+
+
+def _overflowing_integer(rows, rng):
+    row = rows[rng.randrange(len(rows))]
+    row[rng.randrange(len(row))] = rng.choice(
+        [2**63, 2**63 - 1, -(2**63) - 1, 10**25, -(10**25), "9" * 5000]
+    )
+
+
+MUTATIONS = [
+    _non_integer, _index_out_of_range, _repeated_point, _short_row, _long_row,
+    _missing_row, _overflowing_integer,
+]
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_array_parser_matches_the_per_line_parser(q, mutate):
+    # the first faulty row is found from the arrays and named by the same
+    # message as the per-line parser, whatever else is wrong further on
+    plane = pg2(field_new(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]))
+    faults = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        perm = list(range(plane.npoints))
+        rng.shuffle(perm)
+        rows = [[perm[x] for x in plane.lines[i]] for i in perm]
+        mutate(rows, rng)
+        for _ in range(seed % 3):  # later seeds add other faults, to test their order
+            rng.choice(MUTATIONS)(rows, rng)
+        body = "\n".join(rng.choice([" ", "  ", "\t"]).join(map(str, r)) for r in rows)
+        head = f"n={q} points={plane.npoints} lines={plane.npoints}"
+        for usage, text in (
+            ("plane n=<n> points=<N> lines=<N>", f"plane {head}\n{body}\n"),
+            ("pls points=<N> lines=<M>", f"pls {head.split(' ', 1)[1]}\n\n{body}"),
+        ):
+            want = _parsed_rows(reference_incidence_rows, text, usage)
+            assert _parsed_rows(formats._incidence_rows, text, usage) == want
+            faults.append(isinstance(want, str))
+    assert sum(faults) >= len(faults) // 2
+
+
+def test_pls_rows_read_integers_as_int_does():
+    # a sign, leading zeros, an underscore or a non-ASCII digit is no fault
+    pls = formats.pls_from_text("pls points=11 lines=1\n+3 007 1_0 \u0664\n")
+    assert pls.lines == ((3, 4, 7, 10),)
+    assert all(type(x) is int for x in pls.lines[0])
 
 
 def test_pls_roundtrip(tmp_path):

@@ -182,6 +182,40 @@ def test_is_incident_agrees_with_the_lines(pg4, pg9):
         assert incident == plane.npoints * (plane.order + 1)
 
 
+@pytest.mark.parametrize(
+    "query,args,kind,bad",
+    [
+        ("line_through", (-1, 0), "point", -1),
+        ("line_through", (0, 13), "point", 13),
+        ("meet", (-1, 0), "line", -1),
+        ("meet", (3, 13), "line", 13),
+        ("is_incident", (13, 0), "point", 13),
+        ("is_incident", (0, -1), "line", -1),
+    ],
+)
+def test_queries_refuse_an_index_outside_the_plane(query, args, kind, bad):
+    # Python and numpy would read a negative index from the end: -1 is
+    # no alias of point 12
+    plane = pg2(field_new(3))
+    assert plane.line_through(12, 0) == 7
+    with pytest.raises(GeometryError, match=rf"^{kind} index {bad} is outside 0\.\.12$"):
+        getattr(plane, query)(*args)
+
+
+def test_tuple_views_are_built_on_first_read():
+    plane = pg2(field_new(5))
+    text = plane_to_text(plane)
+    ingested = plane_from_text(text)
+    for p in (plane, ingested):
+        assert p.is_incident(0, int(p.point_lines_arr[0, 0]))
+        assert "lines" not in vars(p) and "point_lines" not in vars(p)
+    assert plane_to_text(ingested) == text
+    assert "lines" not in vars(ingested)
+    assert ingested.lines == tuple(map(tuple, ingested.lines_arr.tolist()))
+    assert ingested.lines is ingested.lines
+    assert ingested.point_lines == tuple(map(tuple, ingested.point_lines_arr.tolist()))
+
+
 def test_meet_of_lines_through_common_point(pg9):
     p, q, r = 0, 40, 77
     l1 = pg9.line_through(p, q)
@@ -643,15 +677,18 @@ def test_the_word_path_builds_no_join_table(monkeypatch):
     assert built == [plane.npoints]
 
 
-def test_pg2_of_order_121_stays_under_500_mb():
-    # the pair-coverage bitmap (one byte per cell) is the largest allocation;
-    # an int32 join table alone would be 872 MB
+def test_pg2_of_order_121_stays_under_160_mb():
+    # the axiom check marks one pencil at a time, so no N x N scratch is
+    # allocated (a one-byte coverage map would be 218 MB, an int32 join
+    # table 872 MB), and the tuple views are built on first read only.
+    # The child reads its own peak, VmHWM: its ru_maxrss would start from
+    # the resident set of this test process, which it inherits at exec
     code = (
-        "import resource\n"
         "from planecode.field import field_new\n"
         "from planecode.geometry import pg2\n"
         "plane = pg2(field_new(11, 2))\n"
-        "print(plane.npoints, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(plane.npoints, status.split()[0])\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -659,7 +696,7 @@ def test_pg2_of_order_121_stays_under_500_mb():
                          check=True, timeout=300)
     npoints, peak_kb = map(int, out.stdout.split())
     assert npoints == 121 * 121 + 121 + 1
-    assert peak_kb < 500 * 1024
+    assert peak_kb < 160 * 1024
 
 
 @pytest.mark.parametrize(

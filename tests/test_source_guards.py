@@ -45,6 +45,7 @@ _REMOVED_NAMES = _REMOVED_CACHES | {
     "_INT64_LIMIT",
     "used_lines",
     "line_mask",
+    "_CHUNK_KEYS",
 }
 
 
@@ -331,6 +332,39 @@ def test_no_whole_plane_line_gathers_and_no_eager_join_tables():
     assert _whole_line_gathers(row, "codes.py") == []
     eager = "def _checked_lines(lines, n):\n    return _pair_table(lines, n)\n"
     assert _pair_table_calls(eager, "geometry.py") == ["geometry.py:2"]
+
+
+def _mmap_uses(source: str, name: str) -> list[str]:
+    """Uses of mmap in a module (its import aside), except inside
+    geometry._pair_table: the join and meet tables are the one N x N
+    allocation."""
+    tree = ast.parse(source)
+    allowed = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_pair_table"
+    ] if name == "geometry.py" else []
+    return sorted({
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if not isinstance(node, ast.alias)
+        and "mmap" in _identifiers(node)
+        and not any(node.lineno in r for r in allowed)
+    })
+
+
+def test_mmap_only_in_the_pair_tables():
+    # plane construction and its axiom check allocate no N x N scratch; only
+    # pair_line() and pair_point(), on first read, map N x N memory
+    found = []
+    for path in sorted(Path(planecode.__file__).parent.glob("*.py")):
+        found += _mmap_uses(path.read_text(), path.name)
+    assert found == []
+    stray = "import mmap\n\n\ndef _checked_lines(lines, n):\n    return mmap.mmap(-1, n * n)\n"
+    assert _mmap_uses(stray, "geometry.py") == ["geometry.py:5"]
+    inside = stray.replace("_checked_lines", "_pair_table")
+    assert _mmap_uses(inside, "geometry.py") == []
+    assert _mmap_uses(inside, "codes.py") == ["codes.py:5"]
 
 
 _CLOSURE_ENUMERATOR = {"_quadrangle_closures", "_closure"}
