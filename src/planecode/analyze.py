@@ -512,15 +512,16 @@ def extract_baer(word: CodeWord, plane: Plane) -> tuple[SubplaneResult, int]:
     if full.size != 1:
         raise StructureMismatchError("no single line containing all of the small class")
     secant = int(full[0])
-    if not set(plane.lines[secant]).isdisjoint(k_big.tolist()):
+    line = plane.lines_arr[secant].tolist()
+    if not set(line).isdisjoint(k_big.tolist()):
         raise StructureMismatchError("secant line meets the large class")
-    aa = [pt for pt in plane.lines[secant] if pt not in small_set]
+    aa = [pt for pt in line if pt not in small_set]
     if len(aa) != p + 1:
         raise StructureMismatchError("secant remainder is not p+1 points", f"{len(aa)}")
     sub = subplane_result_from_points(plane, frozenset(k_big.tolist()) | frozenset(aa), p)
     if sub is None:
         raise StructureMismatchError("reassembled point set is not a subplane", f"of order {p}")
-    if not _scalar_multiple(word, _set_diff(plane, sub.points, plane.lines[secant])):
+    if not _scalar_multiple(word, _set_diff(plane, sub.points, line)):
         raise StructureMismatchError("word is not a scalar multiple of subplane minus secant")
     return sub, secant
 

@@ -41,7 +41,7 @@ class BudgetExceededError(CodesError):
 
 
 # Column-panel width of the elimination kernel.
-_PANEL = 32
+_PANEL = 64
 # Integers below 2^53 are exact in IEEE double precision, so a floating-point
 # sum of nonnegative integer terms that stays below it is exact in any order
 # of summation (BLAS blocking, FMA): it is the integer itself, on every run.
@@ -81,21 +81,27 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p); returns (rref, pivot columns).
 
     Blocked, with delayed reduction as in FFLAS-FFPACK.  Inside each panel of
-    _PANEL columns, int64 row operations act on the panel and on multipliers
-    Z over the panel's pivot rows as the panel found them (V); only the pivot
-    column and row are reduced per step, the panel once at its end (each step
-    grows |entries| by at most (p-1)^2).  The trailing columns T are then
-    updated once: T <- keep*T + Z@V, keep being 0 on the pivot rows, with a
-    panel's columns reduced when the panel starts and V before each update.
-    T is float64 and Z@V a BLAS product.  T's entries are nonnegative and
-    grow by at most (p-1)^2 per pivot, so a matrix with
-    cols*(p-1)^2 + p < 2^53 keeps every entry an exact integer without ever
-    reducing T as a whole; any other is refused before anything is
-    allocated.  That bound holds for every plane the package builds or reads
-    (p <= 4093, cols <= 4093^2+4093+1).  A float64 block is reduced by an
-    exact cast to int64 and an int64 remainder, a fraction of the cost of a
-    float one.  The update runs in column slices of _SLICE_ENTRIES entries,
-    so its temporaries stay at 8 MB whatever the size of T.
+    _PANEL columns, int32 row operations act on the panel and on multipliers
+    Z over the panel's pivot rows as the panel found them (V).  The block
+    [panel | Z] is held transposed, one contiguous array row per column, so
+    a pivot step updates one contiguous block.  A pivot at panel column c,
+    the j-th of its panel, updates only columns c .. w+j of [panel | Z]: in
+    the pivot row the earlier panel columns are 0 mod p and the later Z
+    columns are 0, so skipping them changes no residue.  Only the pivot
+    column and row are reduced per step, the panel once at its end; each
+    step grows |entries| by at most (p-1)^2, so _PANEL*(p-1)^2 + p < 2^31
+    keeps them exact in int32.  The trailing columns T are then updated
+    once: T <- keep*T + Z@V, keep being 0 on the pivot rows, with a panel's
+    columns reduced when the panel starts and V before each update.  T is
+    float64 and Z@V a BLAS product.  T's entries are nonnegative and grow by
+    at most (p-1)^2 per pivot, so cols*(p-1)^2 + p < 2^53 keeps every entry
+    an exact integer without ever reducing T as a whole.  A matrix outside
+    either bound is refused before anything is allocated; both hold for
+    every plane the package builds or reads (p <= 4093, cols <= 4093^2+4093+1).
+    A float64 block is reduced by an exact cast to int64 and an int64
+    remainder, a fraction of the cost of a float one.  The update runs in
+    column slices of _SLICE_ENTRIES entries, so its temporaries stay at 8 MB
+    whatever the size of T.
     """
     mat = np.asarray(mat)
     rows, cols = mat.shape
@@ -103,9 +109,14 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         raise CodesError(
             f"{cols} columns at p = {p} are too large for the float64 elimination kernel"
         )
-    # p as an int64 scalar: a uint8 matrix (the incidence matrix) is promoted
-    # element-wise into the working matrix, and a p above 255 cannot overflow
-    m = np.remainder(mat, np.int64(p), out=np.empty(mat.shape, dtype=np.float64))
+    if not _fits(_PANEL, p, 1 << 31):
+        raise CodesError(f"p = {p} is too large for the int32 panels of the elimination kernel")
+    m = np.empty(mat.shape, dtype=np.float64)
+    if mat.size and 0 <= mat.min() and mat.max() < p:
+        m[...] = mat  # residues (the uint8 incidence matrix) load as they are
+    else:
+        # p as an int64 scalar: a p above 255 cannot overflow a uint8 input
+        np.remainder(mat, np.int64(p), out=m)
     pivots: list[int] = []
     r = 0
     for c0 in range(0, cols, _PANEL):
@@ -113,37 +124,39 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             break
         c1 = min(c0 + _PANEL, cols)
         w = c1 - c0
-        a = np.zeros((rows, 2 * w), dtype=np.int64)  # [panel | Z]
-        a[:, :w] = m[:, c0:c1].astype(np.int64, copy=False) % p
+        a = np.zeros((2 * w, rows), dtype=np.int32)  # [panel | Z], transposed
+        a[:w] = (m[:, c0:c1].astype(np.int64) % p).T
         src: list[int] = []  # rows holding this panel's pivots
         for c in range(w):
             if r >= rows:
                 break
-            col = a[:, c] % p
+            col = a[c] % p
             nz = np.flatnonzero(col[r:])
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
             if i != r:
-                a[[r, i]] = a[[i, r]]
+                a[:, [r, i]] = a[:, [i, r]]
                 m[[r, i]] = m[[i, r]]
                 col[[r, i]] = col[[i, r]]
-            a[r, w + len(src)] = 1
+            e = w + len(src)  # this pivot's Z column
+            a[e, r] = 1
             src.append(r)
-            a[r] = (a[r] % p * pow(int(col[r]), p - 2, p)) % p
+            row = a[c : e + 1, r] % p * pow(int(col[r]), p - 2, p) % p
+            a[c : e + 1, r] = row
             col[r] = 0
-            a -= np.outer(col, a[r])  # grows |a| by at most (p-1)^2
+            a[c : e + 1] -= np.outer(row, col)  # grows |a| by at most (p-1)^2
             pivots.append(c0 + c)
             r += 1
         a %= p
-        m[:, c0:c1] = a[:, :w]
+        m[:, c0:c1] = a[:w].T
         if src and c1 < cols:
             t = m[:, c1:]
             step = max(1, _SLICE_ENTRIES // rows)
             v = t[src]  # the pivot rows as the panel found them
             np.remainder(v.astype(np.int64, copy=False), p, out=v)
             t[src] = 0
-            z = a[:, w : w + len(src)].astype(np.float64)
+            z = a[w : w + len(src)].T.astype(np.float64)
             for j in range(0, t.shape[1], step):
                 t[:, j : j + step] += z @ v[:, j : j + step]
     out = m[:r].astype(np.int64)

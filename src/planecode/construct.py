@@ -80,7 +80,7 @@ def line_diff(plane: Plane, l1: int, l2: int) -> CodeWord:
     _check_line(plane, l2)
     if l1 == l2:
         raise SameLineError("line_diff needs two distinct lines")
-    w = _set_diff(plane, plane.lines[l1], plane.lines[l2])
+    w = _set_diff(plane, plane.lines_arr[l1].tolist(), plane.lines_arr[l2].tolist())
     if w.weight != 2 * plane.order:
         raise RecipeCheckError(
             f"difference of two lines has weight {w.weight}, not {2 * plane.order}"
@@ -100,9 +100,10 @@ def baer_diff(plane: Plane, sub: SubplaneResult, secant: int | None = None) -> C
     if secant is None:
         secant = sub.lines[0]  # lexicographically first secant
     _check_line(plane, secant)
-    if len(set(plane.lines[secant]).intersection(sub.points)) != sub.order + 1:
+    line = plane.lines_arr[secant].tolist()
+    if len(set(line).intersection(sub.points)) != sub.order + 1:
         raise NotSecantError(f"line {secant} is not a secant of the subplane")
-    w = _set_diff(plane, sub.points, plane.lines[secant])
+    w = _set_diff(plane, sub.points, line)
     ok, witness = is_dual_word(w, plane)
     if not ok:
         raise RecipeCheckError(f"Baer-minus-secant is not orthogonal to line {witness}")

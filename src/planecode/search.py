@@ -255,16 +255,33 @@ class _Searcher:
         return pool
 
     def dfs(self) -> None:
+        """Depth first over point images.  The stack holds one frame per
+        placed point, [point, candidate iterator, undo journal of its
+        current image], so a source of any size stays within Python's
+        recursion limit."""
         p = self.next_point()
         if p is None:
             self.leaf()
             return
-        for v in self.candidates(p):
-            journal = self.assign(p, v)
-            if journal is None:
+        stack = [[p, iter(self.candidates(p)), None]]
+        while stack:
+            frame = stack[-1]
+            p, pool, journal = frame
+            if journal is not None:
+                self.undo(journal)
+            for v in pool:
+                journal = self.assign(p, v)
+                if journal is not None:
+                    break
+            else:
+                stack.pop()
                 continue
-            self.dfs()
-            self.undo(journal)
+            frame[2] = journal
+            p = self.next_point()
+            if p is None:
+                self.leaf()
+            else:
+                stack.append([p, iter(self.candidates(p)), None])
 
     def leaf(self) -> None:
         emb = Embedding(tuple(self.pmap), tuple(self.lmap))

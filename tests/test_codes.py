@@ -86,7 +86,8 @@ def reference_dual(generator, p):
 
 def random_shapes(rng, p, cols):
     """Matrices with `cols` columns: tall, square and wide, full rank and
-    rank-deficient, with zero rows and zero columns."""
+    rank-deficient, with zero rows and zero columns, and one whose entries
+    are not residues."""
     for rows in (2 * cols + 3, cols, max(1, cols // 3), 1):
         yield rng.integers(0, p, size=(rows, cols))
         yield rng.integers(0, p, size=(rows, 3)) @ rng.integers(0, p, size=(3, cols))
@@ -95,9 +96,10 @@ def random_shapes(rng, p, cols):
         m[:, rng.random(cols) < 0.3] = 0
         yield m
     yield np.zeros((5, cols), dtype=np.int64)
+    yield rng.integers(-3 * p, 3 * p, size=(cols + 2, cols))
 
 
-@pytest.mark.parametrize("cols", [1, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("cols", [1, 31, 32, 33, 64, 65, 127, 128, 129])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_rref_matches_reference_kernel(p, cols):
     rng = np.random.default_rng(1000 * p + cols)
@@ -119,23 +121,26 @@ def test_rref_near_the_int64_bound():
 def test_the_float64_bound_covers_every_plane_the_package_builds():
     # Field holds at most 4096 elements, so a plane's characteristic is at
     # most 4093: the elimination of any matrix over all N points of
-    # PG(2,4093), and any product over them, stays exact in float64
+    # PG(2,4093), and any product over them, stays exact in float64, and
+    # the kernel's panels stay exact in int32
     p = 4093
     assert codes._fits(p * p + p + 1, p, codes._FLOAT_LIMIT)
+    assert codes._fits(codes._PANEL, p, 1 << 31)
     with pytest.raises(FieldError, match="lookup-table limit"):
         field_new(4099)
 
 
 def test_rref_column_bound_at_the_largest_float64_prime():
-    # the largest prime below 2^24: 32 columns fit the bound, 33 do not
+    # the largest prime below 2^24: 32 columns fit the float64 bound and 33
+    # do not, but one panel's entries would overflow int32, so both are refused
     p = 16777213
     assert codes._fits(32, p, codes._FLOAT_LIMIT) and not codes._fits(33, p, codes._FLOAT_LIMIT)
+    assert not codes._fits(codes._PANEL, p, 1 << 31)
     rng = np.random.default_rng(p)
     m = rng.integers(0, p, size=(40, 33))
-    want, want_piv = reference_rref(m[:, :32], p)
-    got, got_piv = rref_mod_p(m[:, :32], p)
-    assert got_piv == want_piv and np.array_equal(got, want)
-    with pytest.raises(CodesError, match="too large"):
+    with pytest.raises(CodesError, match="too large for the int32 panels"):
+        rref_mod_p(m[:, :32], p)
+    with pytest.raises(CodesError, match="too large for the float64"):
         rref_mod_p(m, p)
 
 
@@ -152,21 +157,57 @@ def test_rref_on_both_sides_of_the_float64_bound(p):
     m[:, 40] = (m[:, 0] + 3 * m[:, 35]) % p  # a non-pivot column in the second panel
     if p == P_260_NEXT:
         assert not codes._fits(260, p, codes._FLOAT_LIMIT)
-        with pytest.raises(CodesError, match="too large"):
+        with pytest.raises(CodesError, match="too large for the float64"):
             rref_mod_p(m, p)
         return
-    # seven full panels and T never reduced as a whole: its entries come
-    # closest to 2^53 here, and an inexact one would give a wrong residue
+    # 260 columns fit the float64 bound, but one panel's entries would
+    # overflow int32: refused by the panel bound
     assert codes._fits(260, p, codes._FLOAT_LIMIT)
+    with pytest.raises(CodesError, match="too large for the int32 panels"):
+        rref_mod_p(m, p)
+
+
+# The largest prime whose panel entries stay below 2^31, and the next prime
+P_PANEL, P_PANEL_NEXT = 5791, 5801
+
+
+def test_rref_at_the_largest_int32_panel_prime():
+    assert is_prime(P_PANEL) and is_prime(P_PANEL_NEXT)
+    assert not any(is_prime(x) for x in range(P_PANEL + 1, P_PANEL_NEXT))
+    assert codes._fits(codes._PANEL, P_PANEL, 1 << 31)
+    assert not codes._fits(codes._PANEL, P_PANEL_NEXT, 1 << 31)
+    # the prime at which panel entries can come closest to 2^31: four full
+    # panels of 64 pivots, then a partial panel with a column that is not a
+    # pivot; entries at p-1 make the first steps' products as large as they
+    # can be
+    p = P_PANEL
+    rng = np.random.default_rng(p)
+    m = rng.integers(0, p, size=(300, 290))
+    m[:40, :40] = p - 1
+    m[:, 270] = (m[:, 3] + 5 * m[:, 200]) % p
     want, want_piv = reference_rref(m, p)
     got, got_piv = rref_mod_p(m, p)
     assert got_piv == want_piv and np.array_equal(got, want)
+    assert len(got_piv) == 289 and 270 not in got_piv
+
+
+def test_kernel_refuses_p_beyond_the_int32_panel_bound_before_allocating():
+    # a float64 working copy of this 4 MB uint8 matrix would take 32 MB
+    a = np.ones((2048, 2048), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodesError, match="too large for the int32 panels"):
+            rref_mod_p(a, P_PANEL_NEXT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rref_in_narrow_column_slices(monkeypatch):
     # slices of 7 columns, not dividing the trailing block: the update runs
     # in many slices and gives the one-pivot-at-a-time result
-    p = P_260
+    p = P_PANEL
     rng = np.random.default_rng(23)
     m = rng.integers(0, p, size=(200, 260))
     m[:, 100] = (m[:, 3] + 5 * m[:, 90]) % p

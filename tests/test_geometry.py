@@ -9,7 +9,7 @@ import pytest
 
 from planecode import geometry
 from planecode.analyze import analyze, extract_baer
-from planecode.construct import baer_diff
+from planecode.construct import baer_diff, line_diff
 from planecode.field import FieldError, field_new
 from planecode.formats import plane_from_text, plane_to_text
 from planecode.geometry import (
@@ -214,6 +214,13 @@ def test_tuple_views_are_built_on_first_read():
     assert ingested.lines == tuple(map(tuple, ingested.lines_arr.tolist()))
     assert ingested.lines is ingested.lines
     assert ingested.point_lines == tuple(map(tuple, ingested.point_lines_arr.tolist()))
+    # the one-line recipes and the Baer extraction read single rows of lines_arr
+    pg49 = pg2(field_new(7, 2))
+    word = baer_diff(pg49, baer_subfield_subplane(pg49))
+    sub, secant = extract_baer(word, pg49)
+    assert line_diff(pg49, secant, secant + 1).weight == 98
+    assert "lines" not in vars(pg49) and "point_lines" not in vars(pg49)
+    assert sub.points == baer_subfield_subplane(pg49).points
 
 
 def test_meet_of_lines_through_common_point(pg9):

@@ -1,4 +1,6 @@
+import inspect
 import os
+import sys
 
 import pytest
 
@@ -172,6 +174,22 @@ def test_the_engine_offers_unused_points_and_forces_distinct_line_images(monkeyp
     out = run(MK, pg9, cap=200, exclude=frozenset(first.point_map))
     assert len(out.embeddings) == 200
     assert not set(first.point_map) & {v for e in out.embeddings for v in e.point_map}
+
+
+def test_a_source_deeper_than_the_recursion_limit_is_searched():
+    # one stack frame per placed point would need 73 here: the engine keeps
+    # its own stack, so 40 frames above the caller are enough
+    plane = plane_of(8)
+    perm = np.random.default_rng(8).permutation(plane.npoints)
+    source = PartialLinearSpace(plane.npoints, [[int(perm[x]) for x in l] for l in plane.lines])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        out = embed_search(source, plane)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "found" and out.stats.nodes == 73
+    assert verify_embedding(source, plane, out.embeddings[0])[0]
 
 
 def test_search_determinism():

@@ -167,19 +167,25 @@ _FLOAT_DTYPES = ("float64", "float32", "float16")
 _EXACT_PRODUCTS = ("exact_matmul", "rref_mod_p")
 
 
-def _float_dtype_lines(source: str, name: str) -> list[str]:
-    """Lines naming a float dtype, except inside codes.py's exact float64
-    product and its elimination kernel."""
+def _lines_naming(source: str, name: str, words, functions=()) -> list[str]:
+    """Lines of a module naming any of `words`, except inside the functions
+    named in `functions`."""
     allowed = [
         range(node.lineno, node.end_lineno + 1)
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name in _EXACT_PRODUCTS
-    ] if name == "codes.py" else []
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+    ]
     return [
         f"{name}:{lineno}"
         for lineno, line in enumerate(source.splitlines(), start=1)
-        if any(dtype in line for dtype in _FLOAT_DTYPES) and not any(lineno in r for r in allowed)
+        if any(word in line for word in words) and not any(lineno in r for r in allowed)
     ]
+
+
+def _float_dtype_lines(source: str, name: str) -> list[str]:
+    """Lines naming a float dtype, except inside codes.py's exact float64
+    product and its elimination kernel."""
+    return _lines_naming(source, name, _FLOAT_DTYPES, _EXACT_PRODUCTS if name == "codes.py" else ())
 
 
 def test_float64_only_in_the_bounded_gf_p_products():
@@ -199,6 +205,22 @@ def test_float64_only_in_the_bounded_gf_p_products():
         assert _float_dtype_lines(stray.replace("counts", "matmul_mod_p"), "codes.py") == ["codes.py:2"]
     inside = "def exact_matmul(a, b, p):\n    return a.astype(np.float32)\n"
     assert _float_dtype_lines(inside, "codes.py") == []
+
+
+def test_int32_in_codes_only_inside_the_elimination_kernel():
+    # int32 arithmetic is exact only under the panel bound rref_mod_p checks
+    source = (Path(planecode.__file__).parent / "codes.py").read_text()
+    assert _lines_naming(source, "codes.py", ("int32",), ("rref_mod_p",)) == []
+    stray = "def dual_basis(code):\n    return code.generator.astype(np.int32)\n"
+    assert _lines_naming(stray, "codes.py", ("int32",), ("rref_mod_p",)) == ["codes.py:2"]
+
+
+def test_no_recursion_limit_is_set_in_package():
+    # the search engine keeps its own stack, so no depth needs a raised limit
+    found = []
+    for path in sorted(Path(planecode.__file__).parent.glob("*.py")):
+        found += _lines_naming(path.read_text(), path.name, ("setrecursionlimit",))
+    assert found == []
 
 
 def test_no_float_remainder_in_package():
