@@ -3,18 +3,20 @@
 The order-2 plane embeds in PG(2,q) iff q = 3^h or 3 | q-1; the order-3
 plane iff q = 2^h with h even.  The search pins four safe points to the
 standard frame, forces line images from point images, and reports
-exhausted-none only after a full traversal.
+exhausted-none only after a full traversal.  A subplane of order m is an
+embedding of PG(2,m), taken as a partial linear space, so the same search
+finds subplanes.
 
-Run:  python3 demos/06_embeddings.py   (about half a minute)
+Run:  python3 demos/06_embeddings.py   (under a second)
 """
 
-from planecode.antipodal import cyclic_antipodal, validate_antipodal
+from planecode.antipodal import PartialLinearSpace, cyclic_antipodal, validate_antipodal
 from planecode.construct import antipodal_diff
 from planecode.field import field_new
 from planecode.geometry import pg2
 from planecode.search import embed_search, slope_certificate
 
-FIELDS = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
           9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4)}
 
 mk = cyclic_antipodal(2)
@@ -47,3 +49,10 @@ w, dual = antipodal_diff(plane9, (mk, e1), (mk, e2))
 print(f"\ndisjoint MK pair in PG(2,9): weight {w.weight} word, dual={dual}")
 print("(whether any disjoint pair gives a dual word is open; this run reports, "
       "it does not assert)")
+
+# subplanes through the same engine: PG(2,m) as a partial linear space
+print()
+for m, q in ((2, 9), (4, 16)):
+    sub = PartialLinearSpace(m * m + m + 1, pg2(field_new(*FIELDS[m])).lines)
+    out = embed_search(sub, pg2(field_new(*FIELDS[q])))
+    print(f"PG(2,{m}) as a subplane of PG(2,{q}): {out.status} ({out.stats.nodes} nodes)")

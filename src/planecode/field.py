@@ -264,9 +264,11 @@ def field_new(p: int, h: int = 1, modulus: Sequence[int] | None = None) -> Field
 
 def parse_field_spec(spec: str) -> tuple[int, int]:
     """(p, h) of a "p^h" or "p" string, e.g. "3^2" or "7"."""
-    s = spec.strip()
-    ps, hs = s.split("^", 1) if "^" in s else (s, "1")
-    return int(ps), int(hs)
+    ps, hat, hs = spec.partition("^")
+    try:
+        return int(ps), int(hs) if hat else 1
+    except ValueError:
+        raise FieldError(f"field {spec!r} is not of the form p or p^h") from None
 
 
 def parse_field(spec: str) -> Field:

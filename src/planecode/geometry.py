@@ -74,14 +74,6 @@ class SubplaneResult:
     order: int
 
 
-@dataclass
-class SubplaneSearchOutcome:
-    subplanes: list[SubplaneResult]
-    exhausted: bool
-    budget_exceeded: bool
-    nodes: int
-
-
 class Plane:
     """Immutable projective plane of order n; queries are read-only.
 
@@ -448,46 +440,6 @@ def baer_partition(plane: Plane) -> list[SubplaneResult]:
     return sorted(members, key=lambda sub: sub.points[0])
 
 
-def _closure(
-    join: tuple, meet: tuple, seed: tuple[int, int, int, int], cap: int, min_point: int
-) -> frozenset | None:
-    """Close a quadrangle under join/meet (the lazy rows of the two pair
-    tables, see _lazy_rows).
-
-    Returns None if the closure escapes the size cap (cap points or cap
-    spanned lines) or produces a point below min_point (that closure is
-    reachable from an earlier seed).
-    """
-    pair_line, join_row = join
-    pair_point, meet_row = meet
-    pts = set(seed)
-    while True:
-        spanned: set[int] = set()
-        plist = sorted(pts)
-        for i, a in enumerate(plist):
-            row = pair_line[a] or join_row(a)
-            for b in plist[i + 1:]:
-                spanned.add(row[b])
-            if len(spanned) > cap:
-                return None
-        # the loop's last pass has tested the cap on the whole span
-        new: set[int] = set()
-        llist = sorted(spanned)
-        for i, l1 in enumerate(llist):
-            row = pair_point[l1] or meet_row(l1)
-            for l2 in llist[i + 1:]:
-                x = row[l2]
-                if x not in pts and x not in new:
-                    if x < min_point:
-                        return None
-                    new.add(x)
-                    if len(pts) + len(new) > cap:
-                        return None
-        if not new:
-            return frozenset(pts)
-        pts |= new
-
-
 def subplane_result_from_points(plane: Plane, pts: frozenset, m: int) -> SubplaneResult | None:
     """Validate a candidate point set as a subplane of order m; None if it is not one."""
     N = m * m + m + 1
@@ -515,82 +467,6 @@ def _restricted_lines(plane: Plane, points, k: int) -> list[tuple[int, ...]]:
     pos[np.asarray(points)] = np.arange(len(points))
     hits = pos[plane.lines_arr[counts == k]]
     return [tuple(r) for r in np.sort(hits[hits >= 0].reshape(-1, k), axis=1).tolist()]
-
-
-def _lazy_rows(table: np.ndarray) -> tuple[list, object]:
-    """The rows of an N x N pair table as tuples of ints, each built on its
-    first read, so a search that stops early converts only what it read:
-    a list holding None for a row not yet built, and the function that
-    builds row i.  Row i is rows[i] or build(i), at list-index speed."""
-    ints = [*range(len(table)), -1]
-    rows: list = [None] * len(table)
-
-    def build(i: int) -> tuple[int, ...]:
-        row = rows[i] = tuple(map(ints.__getitem__, table[i].tolist()))
-        return row
-
-    return rows, build
-
-
-def _quadrangle_closures(plane: Plane, pool, cap: int):
-    """Close every quadrangle of a sorted point pool, in lexicographic order.
-
-    Yields one closure per 4-subset of the pool with no three points
-    collinear: the closed point set, or None when the closure escapes the
-    cap or reaches a point below the quadrangle's first point (such a
-    closure is reached from an earlier quadrangle).
-    """
-    # row tuples for the pure-Python loops, alive only while this generator is
-    join, meet = _lazy_rows(plane.pair_line()), _lazy_rows(plane.pair_point())
-    T, join_row = join
-    n = len(pool)
-    for i in range(n):
-        a = pool[i]
-        Ta = T[a] or join_row(a)
-        for j in range(i + 1, n):
-            b = pool[j]
-            lab = Ta[b]
-            Tb = T[b] or join_row(b)
-            for k in range(j + 1, n):
-                c = pool[k]
-                if Ta[c] == lab:
-                    continue
-                lac, lbc = Ta[c], Tb[c]
-                for d in pool[k + 1:]:
-                    if Ta[d] == lab or Ta[d] == lac or Tb[d] == lbc:
-                        continue
-                    yield _closure(join, meet, (a, b, c, d), cap, a)
-
-
-def subplane_search(
-    plane: Plane, m: int, limit: int = 10, budget: int = 10**8
-) -> SubplaneSearchOutcome:
-    """Find subplanes of order m by quadrangle closures.
-
-    Enumerates 4-point seeds with no 3 collinear, closes each under
-    join/meet, and accepts closures of exactly m^2+m+1 points that satisfy
-    the subplane axioms.  Complete for subplanes generated by one of their
-    quadrangles (all prime m in particular); the min-point prune only skips
-    closures rediscovered from a later seed.
-    """
-    if m < 2:
-        raise GeometryError("subplane order must be >= 2")
-    if limit < 1:
-        raise GeometryError(f"limit must be at least 1, got {limit}")
-    found: dict[frozenset, SubplaneResult] = {}
-    nodes = 0
-    closures = _quadrangle_closures(plane, range(plane.npoints), m * m + m + 1)
-    for nodes, cl in enumerate(closures, 1):
-        if nodes > budget:
-            return SubplaneSearchOutcome(list(found.values()), False, True, nodes)
-        if cl is None or cl in found:
-            continue
-        res = subplane_result_from_points(plane, cl, m)
-        if res is not None:
-            found[cl] = res
-            if len(found) >= limit:
-                return SubplaneSearchOutcome(list(found.values()), False, False, nodes)
-    return SubplaneSearchOutcome(list(found.values()), True, False, nodes)
 
 
 # -- slopes, Menelaos, Ceva -------------------------------------------------------

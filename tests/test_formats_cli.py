@@ -438,6 +438,14 @@ def test_cli_embed_refuses_a_bad_cap_or_exclusion(capsys, args):
     assert record["outcome"]["error"] == "SearchError"
 
 
+@pytest.mark.parametrize("spec", ["x", "3^", "3^2^2"])
+def test_cli_names_a_malformed_field(capsys, spec):
+    code, record = run_cli(capsys, "embed", "--pls", "builtin:mk", "--field", spec)
+    assert code == 1
+    assert record["outcome"]["error"] == "FieldError"
+    assert record["outcome"]["message"] == f"field {spec!r} is not of the form p or p^h"
+
+
 def test_cli_subplane_with_a_negative_index_alias(capsys, pg4):
     pts = list(baer_subfield_subplane(pg4).points)
     alias = pts[:3] + [pts[3] - pg4.npoints] + pts[4:]  # numpy would read it as pts[3]

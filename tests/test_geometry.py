@@ -9,6 +9,7 @@ import pytest
 
 from planecode import geometry
 from planecode.analyze import analyze, extract_baer
+from planecode.antipodal import PartialLinearSpace
 from planecode.construct import baer_diff, line_diff
 from planecode.field import FieldError, field_new
 from planecode.formats import plane_from_text, plane_to_text
@@ -24,8 +25,6 @@ from planecode.geometry import (
     SubplaneResult,
     TriangleSideError,
     _int_rows,
-    _lazy_rows,
-    _quadrangle_closures,
     _restricted_lines,
     baer_partition,
     baer_subfield_subplane,
@@ -37,8 +36,8 @@ from planecode.geometry import (
     plane_from_incidence,
     singer_cycle,
     subplane_result_from_points,
-    subplane_search,
 )
+from planecode.search import embed_search
 
 FANO_LINES = [
     (0, 1, 2),
@@ -248,46 +247,88 @@ def test_baer_subplane_needs_square_order():
         baer_subfield_subplane(pg2(field_new(7)))
 
 
+def subplane_source(m):
+    """PG(2,m) as a partial linear space: its embeddings into a plane are
+    the subplanes of order m, each once per collineation of PG(2,m)."""
+    return PartialLinearSpace(m * m + m + 1, pg2(field_new(*ORACLE_FIELDS[m])).lines)
+
+
+def ingested(plane):
+    """The same plane from its incidence rows: same indices, no field, so
+    the engine runs its plain search on it."""
+    return plane_from_incidence(plane.lines, plane.order)
+
+
+def found_subplanes(plane, out, m):
+    """The distinct point sets of the embeddings, in order of first
+    appearance, each validated as a subplane of order m."""
+    subs = [subplane_result_from_points(plane, pts, m)
+            for pts in dict.fromkeys(frozenset(e.point_map) for e in out.embeddings)]
+    assert None not in subs
+    return subs
+
+
 def test_subplane_search_finds_fano_in_pg4(pg4):
-    out = subplane_search(pg4, 2, limit=3)
-    assert len(out.subplanes) == 3
-    assert out.nodes == 3
-    for sub in out.subplanes:
-        assert sub.order == 2
-        reference_check_subplane(pg4, sub)
+    # the frame pinned: the four pinned images force the other three
+    out = embed_search(subplane_source(2), pg4, cap=10)
+    assert (out.status, out.stats.nodes, len(out.embeddings)) == ("found", 7, 1)
+    (sub,) = found_subplanes(pg4, out, 2)
+    reference_check_subplane(pg4, sub)
 
 
 def test_subplane_search_pg4_exhaustive(pg4):
-    out = subplane_search(pg4, 2, limit=1000)
-    assert out.exhausted
-    assert len(out.subplanes) == 360  # |PGL(3,4)| / |PGL(3,2)| Fano subplanes
-    assert out.nodes == 2520
-    for sub in out.subplanes:
+    # the plain search: every Fano subplane, once per each of the 168
+    # collineations of PG(2,2)
+    out = embed_search(subplane_source(2), ingested(pg4), cap=10**6)
+    assert (out.status, out.stats.nodes, len(out.embeddings)) == ("found", 205821, 360 * 168)
+    subs = found_subplanes(pg4, out, 2)
+    assert len(subs) == 360  # |PGL(3,4)| / |PGL(3,2)| Fano subplanes
+    for sub in subs:
         reference_check_subplane(pg4, sub)
 
 
 def test_subplane_search_pg9_baer(pg9):
-    out = subplane_search(pg9, 3, limit=4)
-    assert len(out.subplanes) == 4
-    subfield = baer_subfield_subplane(pg9)
-    assert out.subplanes[0].points == subfield.points
-    for sub in out.subplanes:
-        reference_check_subplane(pg9, sub)
+    out = embed_search(subplane_source(3), pg9)
+    assert (out.status, out.stats.nodes) == ("found", 13)
+    assert found_subplanes(pg9, out, 3) == [baer_subfield_subplane(pg9)]
 
 
-def test_subplane_search_budget_exceeded(pg9):
-    out = subplane_search(pg9, 3, limit=10, budget=2)
-    assert out.budget_exceeded
-    assert not out.exhausted
-
-
-@pytest.mark.slow
 def test_subplane_search_pg9_no_order2(pg9):
-    out = subplane_search(pg9, 2, limit=1)
-    assert out.exhausted
-    assert out.nodes == 1769040
-    assert not out.budget_exceeded
-    assert out.subplanes == []
+    # no Fano subplane in odd characteristic, decided by the pinned tree
+    out = embed_search(subplane_source(2), pg9)
+    assert (out.status, out.stats.nodes, out.embeddings) == ("exhausted-none", 7, [])
+
+
+def test_subplane_search_finds_pg4_in_pg16():
+    # every quadrangle of PG(2,16) generates a PG(2,2), so no closure of
+    # one is a PG(2,4); the engine places the subplane point by point
+    plane = pg2(field_new(2, 4))
+    out = embed_search(subplane_source(4), plane)
+    assert (out.status, out.stats.nodes) == ("found", 37)
+    (sub,) = found_subplanes(plane, out, 4)
+    reference_check_subplane(plane, sub)
+
+
+@pytest.mark.parametrize(
+    "m,q,status,pinned_nodes,plain_nodes",
+    [
+        (2, 3, "exhausted-none", 7, 20449),
+        (2, 4, "found", 7, 9),
+        (2, 8, "found", 7, 13),
+        (3, 4, "exhausted-none", 7, 409941),
+    ],
+)
+def test_pinned_and_plain_subplane_search_agree(m, q, status, pinned_nodes, plain_nodes):
+    # pinning is sound for a PG(2,m) source: its seed is a quadrangle, and
+    # PGL(3,q) is sharply transitive on ordered frames
+    plane = pg2(field_new(*ORACLE_FIELDS[q]))
+    pinned = embed_search(subplane_source(m), plane)
+    plain = embed_search(subplane_source(m), ingested(plane))
+    assert (pinned.status, plain.status) == (status, status)
+    assert (pinned.stats.nodes, plain.stats.nodes) == (pinned_nodes, plain_nodes)
+    for out in (pinned, plain):
+        for sub in found_subplanes(plane, out, m):
+            reference_check_subplane(plane, sub)
 
 
 def slope(plane, vertex, line):
@@ -630,10 +671,22 @@ def _check_outcome(plane, sub, check):
     return True
 
 
+def _collineation_images(plane, found, rng, count):
+    """Images of randomly chosen found subplanes under random collineations."""
+    f, images = plane.field, []
+    while found and len(images) < count:
+        matrix = [[rng.randrange(f.q) for _ in range(3)] for _ in range(3)]
+        try:
+            g = collineation(plane, matrix, rng.randrange(f.h))
+        except GeometryError:  # a singular draw
+            continue
+        images.append(frozenset(g[list(rng.choice(found).points)].tolist()))
+    return images
+
+
 def _candidate_sets(plane, m, found, rng):
-    """The found subplanes, 5 one-point perturbations of each, the closures
-    within the cap among the first 2000 quadrangles (at most 50) and 200
-    random sets of m^2+m+1 points."""
+    """The found subplanes, 5 one-point perturbations of each, 50 images of
+    them under collineations and 200 random sets of m^2+m+1 points."""
     N, size = plane.npoints, m * m + m + 1
     sets = [frozenset(s.points) for s in found]
     for pts in list(sets):
@@ -641,8 +694,7 @@ def _candidate_sets(plane, m, found, rng):
             out = rng.choice(sorted(pts))
             new = rng.choice([x for x in range(N) if x not in pts])
             sets.append(pts - {out} | {new})
-    closures = _quadrangle_closures(plane, range(N), size)
-    sets += [cl for _, cl in zip(range(2000), closures) if cl is not None][:50]
+    sets += _collineation_images(plane, found, rng, 50)
     sets += [frozenset(rng.sample(range(N), size)) for _ in range(200)]
     return sets
 
@@ -707,14 +759,17 @@ def test_pg2_of_order_121_stays_under_160_mb():
 
 
 @pytest.mark.parametrize(
-    "q,m,limit,budget",
+    "q,m,cap,budget",
     [(4, 2, 1000, 10**6), (9, 2, 10, 3000), (9, 3, 60, 10**6), (16, 2, 30, 10**6), (25, 2, 10, 3000)],
 )
-def test_subplane_validator_matches_reference(q, m, limit, budget):
+def test_subplane_validator_matches_reference(q, m, cap, budget):
+    # the subplanes among the plain search's first cap embeddings; there
+    # is none of order 2 in odd characteristic, and the budget stops the search
     p, h = ORACLE_FIELDS[q]
     plane = pg2(field_new(p, h))
-    found = subplane_search(plane, m, limit=limit, budget=budget).subplanes
-    assert len(found) == {4: 360, 9: 60 if m == 3 else 0, 16: 30, 25: 0}[q]
+    out = embed_search(subplane_source(m), ingested(plane), cap=cap, budget=budget)
+    found = found_subplanes(plane, out, m)
+    assert len(found) == {4: 108, 9: 12 if m == 3 else 0, 16: 29, 25: 0}[q]
     if h == 2 and p == m:
         found.append(baer_subfield_subplane(plane))
     rng = random.Random(q * 10 + m)
@@ -725,7 +780,7 @@ def test_subplane_validator_matches_reference(q, m, limit, budget):
         accepted += got is not None
         sub = got or SubplaneResult(tuple(sorted(pts)), tuple(range(len(pts))), m)
         assert _check_outcome(plane, sub, reference_check_subplane) == (got is not None)
-    assert accepted >= len(found)
+    assert accepted >= len(found) + (50 if found else 0)
 
 
 @pytest.mark.parametrize("q", [4, 9, 16, 25])
@@ -828,38 +883,6 @@ def test_pair_rows_share_int_objects(pg9):
             for x in row:
                 assert seen.setdefault(x, x) is x
         assert len(seen) == pg9.npoints + 1
-
-
-def test_lazy_rows_build_each_row_on_first_read(pg9):
-    for table in (pg9.pair_line(), pg9.pair_point()):
-        rows, build = _lazy_rows(table)
-        assert build(5) == tuple(table[5].tolist()) and rows[5][5] == -1
-        assert [i for i, r in enumerate(rows) if r is not None] == [5]
-        whole = _int_rows(table, pg9.npoints)
-        assert tuple(rows[i] or build(i) for i in range(pg9.npoints)) == whole
-
-
-def test_subplane_search_converts_only_the_rows_it_reads():
-    import tracemalloc
-
-    plane = pg2(field_new(7, 2))
-    plane.pair_point()  # the meet table is built before tracing
-    tracemalloc.start()
-    try:
-        out = subplane_search(plane, 7, limit=1, budget=2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the first quadrangle closes to the GF(7) subplane; converting both
-    # 2451 x 2451 tables to row tuples first peaked at 93 MiB
-    assert (out.nodes, len(out.subplanes), out.exhausted) == (1, 1, False)
-    assert peak < 16 * 2**20
-
-
-@pytest.mark.parametrize("limit", [0, -1])
-def test_subplane_search_needs_a_positive_limit(pg4, limit):
-    with pytest.raises(GeometryError, match="limit"):
-        subplane_search(pg4, 2, limit=limit)
 
 
 # -- collineations ----------------------------------------------------------------
@@ -1048,10 +1071,8 @@ def test_baer_partition_raises_on_a_member_that_fails_validation(pg9, monkeypatc
 
 def test_validator_refuses_order_one():
     # a triangle passes the axioms of a subplane of order 1 (the reference
-    # scan accepts it), but Plane and subplane_search both start at order 2
+    # scan accepts it), but a plane, as Plane requires, has order at least 2
     plane = pg2(field_new(3))
     triangle = frozenset({0, 1, 4})
     assert reference_subplane_result_from_points(plane, triangle, 1) is not None
     assert subplane_result_from_points(plane, triangle, 1) is None
-    with pytest.raises(GeometryError, match=">= 2"):
-        subplane_search(plane, 1)

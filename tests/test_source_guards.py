@@ -46,6 +46,13 @@ _REMOVED_NAMES = _REMOVED_CACHES | {
     "used_lines",
     "line_mask",
     "_CHUNK_KEYS",
+    # the quadrangle-closure search: the engine finds subplanes (an
+    # embedding of PG(2,m) as a partial linear space) at every order
+    "subplane_search",
+    "SubplaneSearchOutcome",
+    "_closure",
+    "_lazy_rows",
+    "_quadrangle_closures",
 }
 
 
@@ -97,8 +104,6 @@ def test_removed_names_stay_gone():
 
 _REPO = Path(__file__).resolve().parents[1]
 _CALLER_DIRS = ("src", "demos", "perfbench")
-# no caller yet: ROADMAP items 1, 4 and 7 time or extend the closure search
-_UNCALLED_BY_DESIGN = {"subplane_search"}
 
 
 def _public_functions(source: str):
@@ -141,8 +146,7 @@ def _uncalled(package: dict, callers: dict) -> list[str]:
         f"{module}:{name}"
         for module, source in package.items()
         for name, first, last in _public_functions(source)
-        if name not in _UNCALLED_BY_DESIGN
-        and not any(path != module or not first <= line <= last for path, line in seen.get(name, ()))
+        if not any(path != module or not first <= line <= last for path, line in seen.get(name, ()))
     ]
 
 
@@ -387,38 +391,6 @@ def test_mmap_only_in_the_pair_tables():
     inside = stray.replace("_checked_lines", "_pair_table")
     assert _mmap_uses(inside, "geometry.py") == []
     assert _mmap_uses(inside, "codes.py") == ["codes.py:5"]
-
-
-_CLOSURE_ENUMERATOR = {"_quadrangle_closures", "_closure"}
-
-
-def _closure_outside_geometry_or_avoid(source: str, name: str) -> list[str]:
-    """Uses of the quadrangle-closure enumerator outside geometry.py, and any
-    function of geometry.py with an `avoid` parameter."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if name != "geometry.py" and _CLOSURE_ENUMERATOR.intersection(_identifiers(node)):
-            found.append(f"{name}:{node.lineno}")
-        if name == "geometry.py" and isinstance(node, ast.FunctionDef):
-            args = node.args
-            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-            if any(arg.arg == "avoid" for arg in params):
-                found.append(f"{name}:{node.lineno}")
-    return found
-
-
-def test_quadrangle_closures_only_in_geometry_and_without_avoid():
-    # subplane_search is the one caller of the closure enumerator; disjoint
-    # Baer pairs come from the Singer partition, which needs no closures
-    # that steer around a subplane
-    found = []
-    for path in sorted(Path(planecode.__file__).parent.glob("*.py")):
-        found += _closure_outside_geometry_or_avoid(path.read_text(), path.name)
-    assert found == []
-    caller = "from .geometry import _quadrangle_closures\n"
-    assert _closure_outside_geometry_or_avoid(caller, "construct.py") == ["construct.py:1"]
-    steer = "def _closure(join, meet, seed, cap, min_point, avoid):\n    pass\n"
-    assert _closure_outside_geometry_or_avoid(steer, "geometry.py") == ["geometry.py:1"]
 
 
 def test_options_the_code_works_out_stay_deleted():
