@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+import re
 import time
 from pathlib import Path
 
@@ -23,7 +24,8 @@ import numpy as np
 
 from .antipodal import PartialLinearSpace
 from .codes import CodeWord
-from .geometry import Plane, plane_from_incidence
+from .field import _TABLE_LIMIT, is_prime
+from .geometry import INGEST_ORDER_CAP, Plane, plane_from_incidence
 from .search import Embedding
 
 
@@ -60,6 +62,8 @@ def _parse_header(text: str, usage: str) -> tuple[int, dict[str, int], list]:
 
 _PLAIN = b"0123456789 \t"  # the bytes of a body line that needs no int() parse
 _INT64_MAX = np.iinfo(np.int64).max  # np.fromstring's value for an index too large for int64
+_KEY_SPAN = 1 << 32  # points at or above it share one sort key: their rows are read again
+_PLS_POINTS_CAP = INGEST_ORDER_CAP**2 + INGEST_ORDER_CAP + 1
 
 
 def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], np.ndarray, np.ndarray]:
@@ -67,10 +71,17 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], np.ndar
     array, and the number of points in each row.  Every point index must
     lie below the header's points=, no row may repeat a point, a row must
     have n+1 points (a plane of order n) or at least 2 (a pls), and the
-    number of rows must equal its lines=.  The first faulty row raises."""
+    number of rows must equal its lines=.  The first faulty row raises.
+    A pls may have as many points as a plane of order INGEST_ORDER_CAP,
+    checked before its body is read: PartialLinearSpace keeps a list per point."""
     line, fields, body = _parse_header(text, usage)
     npoints = fields["points"]
     size = fields["n"] + 1 if "n" in fields else None
+    if size is None and npoints > _PLS_POINTS_CAP:
+        raise FormatError(
+            f"line {line}: points={npoints} exceeds {_PLS_POINTS_CAP}, "
+            f"the points of a plane of order {INGEST_ORDER_CAP}"
+        )
     entries = [entry for _, entry in body]
     stop = len(entries)  # the first row that is not all integers
     if not _plain("".join(entries)):  # a sign, or a form only int() reads
@@ -84,13 +95,15 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], np.ndar
     counts = np.array([len(entry.split()) for entry in entries[:stop]], dtype=np.int64)
     vals = np.fromstring(" ".join(entries[:stop]), dtype=np.int64, sep=" ")
     row = np.arange(stop).repeat(counts)
-    order = np.lexsort((vals, row))  # by row, then by point
-    same = (vals[order[1:]] == vals[order[:-1]]) & (row[order[1:]] == row[order[:-1]])
+    # one sort of the keys row*span + point: equal neighbours are a repeated
+    # point, or two points the clip merged, which the range test marks anyway
+    span = min(npoints, _KEY_SPAN) + 1
+    keys = np.sort(row * span + np.clip(vals, 0, span - 1))
     # the rows the arrays cannot clear are read again, in file order, and
     # the first the per-row check faults raises
     suspect = np.zeros(stop + 1, dtype=bool)
     suspect[row[(vals < 0) | (vals >= npoints) | (vals == _INT64_MAX)]] = True
-    suspect[row[order[1:]][same]] = True
+    suspect[keys[1:][keys[1:] == keys[:-1]] // span] = True
     suspect[:stop] |= counts != size if size else counts < 2
     suspect[stop] = stop < len(entries)
     for i in np.flatnonzero(suspect).tolist():
@@ -128,10 +141,15 @@ def _row_fault(entry: str, npoints: int, size: int | None) -> str | None:
 # -- planes ----------------------------------------------------------------------
 
 
+def _rows_text(head: str, npoints: int, rows) -> str:
+    """A header line, then each row of point indices on its own line."""
+    names = list(map(str, range(npoints)))  # one string per point, joined by every row
+    return head + "\n" + "\n".join(" ".join(map(names.__getitem__, r)) for r in rows) + "\n"
+
+
 def plane_to_text(plane: Plane) -> str:
     head = f"plane n={plane.order} points={plane.npoints} lines={plane.npoints}"
-    body = "\n".join(" ".join(map(str, l)) for l in plane.lines_arr.tolist())
-    return head + "\n" + body + "\n"
+    return _rows_text(head, plane.npoints, plane.lines_arr.tolist())
 
 
 def plane_from_text(text: str) -> Plane:
@@ -158,8 +176,7 @@ def read_plane(path) -> Plane:
 
 def pls_to_text(pls: PartialLinearSpace) -> str:
     head = f"pls points={pls.n_points} lines={len(pls.lines)}"
-    body = "\n".join(" ".join(str(p) for p in l) for l in pls.lines)
-    return head + "\n" + body + "\n"
+    return _rows_text(head, pls.n_points, pls.lines)
 
 
 def pls_from_text(text: str) -> PartialLinearSpace:
@@ -179,30 +196,44 @@ def read_pls(path) -> PartialLinearSpace:
 # -- code words --------------------------------------------------------------------
 
 
+def _support_pairs(w: CodeWord) -> zip:
+    """The (position, value) pairs of a word's support as Python ints."""
+    return zip(w.support.tolist(), w.values[w.support].tolist())
+
+
 def word_to_text(w: CodeWord) -> str:
     head = f"word p={w.p} len={w.length}"
-    body = "\n".join(f"{int(i)}:{int(w.values[i])}" for i in w.support)
-    return head + ("\n" + body if body else "") + "\n"
+    return "\n".join([head, *(f"{i}:{v}" for i, v in _support_pairs(w))]) + "\n"
+
+
+_NUMBER = "[ \t]*[0-9]{1,18}[ \t]*"  # at most 18 digits: every value fits in int64
+_ENTRY = f"{_NUMBER}:{_NUMBER}"
+_ENTRIES = re.compile(f"{_ENTRY}(?:\n{_ENTRY})*")  # [0-9], not \d: \d matches other digits
+_LEN_MAX = _TABLE_LIMIT**2 + _TABLE_LIMIT + 1  # the points of PG(2,q) at the largest field order
 
 
 def _support_word(p: int, length: int, body: list) -> CodeWord:
     """The word with value b at position a for each "a:b" entry of a word
     file's body, given as (line number, text) pairs; a FormatError names
     the line of a bad entry."""
-    pos = np.empty(len(body), dtype=np.int64)
-    val = np.empty(len(body), dtype=np.int64)
 
     def where(i: int) -> str:
         return f"line {body[i][0]} ({body[i][1].strip()!r})"
 
-    for i, (_, entry) in enumerate(body):
-        try:
-            a, b = entry.split(":")
-            pos[i], val[i] = int(a), int(b)
-        except ValueError:
-            raise FormatError(f"{where(i)}: malformed entry, expected pos:value") from None
-        except OverflowError:
-            raise FormatError(f"{where(i)}: number out of range") from None
+    joined = "\n".join(entry for _, entry in body)
+    if _ENTRIES.fullmatch(joined):  # plain digits throughout: one parse of the whole body
+        pos, val = np.fromstring(joined.replace(":", " "), dtype=np.int64, sep=" ").reshape(-1, 2).T
+    else:  # entry by entry, as int() reads them; the first malformed one raises
+        pos = np.empty(len(body), dtype=np.int64)
+        val = np.empty(len(body), dtype=np.int64)
+        for i, (_, entry) in enumerate(body):
+            try:
+                a, b = entry.split(":")
+                pos[i], val[i] = int(a), int(b)
+            except ValueError:
+                raise FormatError(f"{where(i)}: malformed entry, expected pos:value") from None
+            except OverflowError:
+                raise FormatError(f"{where(i)}: number out of range") from None
     order = np.argsort(pos, kind="stable")
     dup = np.zeros(pos.size, dtype=bool)
     dup[order[1:]] = pos[order[1:]] == pos[order[:-1]]
@@ -223,17 +254,19 @@ def _support_word(p: int, length: int, body: list) -> CodeWord:
 
 def word_from_text(text: str) -> CodeWord:
     line, fields, body = _parse_header(text, "word p=<p> len=<L>")
-    if fields["p"] < 2:
-        raise FormatError(f"line {line}: expected 'word p=<p> len=<L>' with p >= 2")
-    return _support_word(fields["p"], fields["len"], body)
+    p, length = fields["p"], fields["len"]  # both bounded before the word is allocated
+    bound = (
+        f"p a prime up to {_TABLE_LIMIT}" if p > _TABLE_LIMIT or not is_prime(p)
+        else f"L up to {_LEN_MAX}, the points of the largest plane pg2 builds" if length > _LEN_MAX
+        else None
+    )
+    if bound:
+        raise FormatError(f"line {line}: expected 'word p=<p> len=<L>' with {bound}")
+    return _support_word(p, length, body)
 
 
 def word_to_json(w: CodeWord) -> dict:
-    return {
-        "p": w.p,
-        "len": w.length,
-        "support": {str(int(i)): int(w.values[i]) for i in w.support},
-    }
+    return {"p": w.p, "len": w.length, "support": {str(i): v for i, v in _support_pairs(w)}}
 
 
 def write_word(w: CodeWord, path) -> None:

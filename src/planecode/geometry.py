@@ -165,7 +165,10 @@ class Plane:
 
 
 _CHUNK_CELLS = 1 << 17  # table cells per chunk when building a pair table
-_CHUNK_INCIDENCES = 1 << 13  # marked cells per chunk of the pencil check: 64 KiB of intp
+# marked cells per chunk of the pencil check, 256 KiB of intp: the check of
+# PG(2,49) took 20.4 ms in chunks of 2^13, 16-17 ms from 2^14 to 2^16 and
+# 17.6 ms at 2^17 (2-CPU Xeon, numpy 2.4)
+_CHUNK_INCIDENCES = 1 << 15
 
 
 def _outside(N: int, *indices: tuple[str, int]) -> GeometryError:
@@ -224,15 +227,17 @@ def _pencils_cover(lines: np.ndarray, point_lines: np.ndarray) -> bool:
     no pair lies on two lines.  As N lines of n+1 points hold N*C(n+1,2) =
     C(N,2) pairs, each pair then lies on exactly one line, and as many
     (line pair, common point) incidences make any two lines meet once.
-    A chunk of points marks a chunk x N byte map; its cell indices (a
-    pencil's (n+1)^2 at least) stay below glibc's mmap threshold up to
-    order 125, so the heap serves them instead of mapping each."""
+    A chunk of points marks a chunk x N byte map.  Its cell indices come
+    from an intp copy of the lines, so the gather is already an index
+    array and the row offsets are added in place: at most
+    _CHUNK_INCIDENCES cells, or one pencil's (n+1)^2 when that is more."""
     N, k = point_lines.shape
     step = max(1, _CHUNK_INCIDENCES // (k * k))
     rows = (np.arange(step, dtype=np.intp) * N)[:, None, None]
+    lines = lines.astype(np.intp)  # gathered cells are indices already, with no promotion
     for s in range(0, N, step):
-        pencils = lines[point_lines[s : s + step]]  # chunk x (n+1) x (n+1) points
-        cells = pencils + rows[: len(pencils)]  # point y of the pencil of s+i marks cell i*N + y
+        cells = lines[point_lines[s : s + step]]  # chunk x (n+1) x (n+1) points
+        cells += rows[: len(cells)]  # point y of the pencil of s+i marks cell i*N + y
         seen = np.zeros(len(cells) * N, dtype=np.bool_)
         seen[cells.ravel()] = True
         if not seen.all():

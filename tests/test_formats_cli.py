@@ -267,6 +267,36 @@ def test_word_text_rejects_bad_header(text):
         formats.word_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text,bound",
+    [
+        ("word p=4 len=4\n0:1\n", "p a prime up to 4096"),
+        (f"\nword p={10**24} len=4\n0:1\n", "p a prime up to 4096"),
+        ("word p=4099 len=4\n0:1\n", "p a prime up to 4096"),
+        ("word p=3 len=16781314\n0:1\n", "L up to 16781313, the points of the largest plane"),
+        (f"word p=3 len={10**20}\n0:1\n", "L up to 16781313, "),
+    ],
+)
+def test_word_text_bounds_its_header(text, bound):
+    # refused on the header line, before a word of len entries is allocated
+    line = 2 if text.startswith("\n") else 1
+    want = rf"^line {line}: expected 'word p=<p> len=<L>' with {bound}"
+    with pytest.raises(formats.FormatError, match=want):
+        formats.word_from_text(text)
+
+
+def test_word_text_takes_the_largest_prime():
+    assert formats.word_from_text("word p=4093 len=7\n6:4092\n").values.tolist() == [0] * 6 + [4092]
+
+
+def test_pls_text_bounds_its_points():
+    # a plane of order 49 has 2451 points; PartialLinearSpace keeps a list per point
+    want = r"^line 1: points=2452 exceeds 2451, the points of a plane of order 49$"
+    with pytest.raises(formats.FormatError, match=want):
+        formats.pls_from_text("pls points=2452 lines=1\n0 1\n")
+    assert formats.pls_from_text("pls points=2451 lines=1\n0 2450\n").lines == ((0, 2450),)
+
+
 def test_word_text_accepts_unsorted_support():
     w = formats.word_from_text("word p=3 len=13\n5:2\n0:1\n")
     assert w.values.tolist() == [1, 0, 0, 0, 0, 2] + [0] * 7
@@ -379,14 +409,25 @@ def test_cli_code_dim_refuses_a_huge_p_at_once(capsys):
 
 
 def test_cli_analyze_refuses_a_word_over_a_huge_prime_at_once(tmp_path, capsys):
+    # a word file's header admits only the primes a Field takes
     word = tmp_path / "big.word"
     word.write_text(f"word p={BIG_PRIME} len=21\n0:1\n5:{BIG_PRIME - 1}\n")
     t0 = time.perf_counter()
     code, record = run_cli(capsys, "analyze", "--field", "2^2", "--word", str(word))
     assert time.perf_counter() - t0 < 2.0
     assert code == 1
+    assert record["outcome"]["error"] == "FormatError"
+    want = "line 1: expected 'word p=<p> len=<L>' with p a prime up to 4096"
+    assert record["outcome"]["message"] == want
+
+
+def test_cli_analyze_refuses_a_word_over_another_prime(tmp_path, capsys):
+    word = tmp_path / "w3.word"
+    word.write_text("word p=3 len=21\n0:1\n5:2\n")
+    code, record = run_cli(capsys, "analyze", "--field", "2^2", "--word", str(word))
+    assert code == 1
     assert record["outcome"]["error"] == "AnalyzeError"
-    assert f"word prime {BIG_PRIME} is not the characteristic 2 " in record["outcome"]["message"]
+    assert "word prime 3 is not the characteristic 2 " in record["outcome"]["message"]
 
 
 @pytest.mark.parametrize(
