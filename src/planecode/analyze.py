@@ -17,8 +17,10 @@ classes of size p^2-p+2 yield two embedded antipodal planes.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +52,7 @@ class StructureMismatchError(AnalyzeError):
         super().__init__(f"structure extraction failed at: {step} {detail}".rstrip())
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     status: str  # pass | fail | na
@@ -150,35 +152,29 @@ class WordAnalysis:
         }
 
 
-def canonicalize(word: CodeWord, x_counts: np.ndarray, support: np.ndarray) -> CodeWord:
-    """Scale the word so colour 1 occurs; among those scalings prefer one
-    where a point of K_{p-1} attains the minimal 2-secant count, then the
-    lexicographically least value vector.  All scalings share the support
-    and differ at each of its points, so the value at support[0] orders them."""
-    p = word.p
-    if p == 2 or word.weight == 0:
-        return word
-    vals = word.values[support]
-    # scaled by c^-1, a point of value v lands in K_{p-1} exactly when c = p - v
-    preferred = set((p - vals[x_counts == x_counts.min()]).tolist())
-    first = int(vals[0])
-    c = min(set(vals.tolist()), key=lambda c: (c not in preferred, first * pow(c, p - 2, p) % p))
-    return word.scale(pow(c, p - 2, p))
-
-
 # The batch path works on chunks of _CHUNK_WORDS words and on blocks of
 # points whose incidence with the lines has at most _BLOCK_CELLS cells: it
-# holds five chunk x N int64 arrays and one block at a time (2 MB of double
+# holds three chunk x N int64 arrays and one block at a time (2 MB of double
 # precision in a product), so no temporary grows with N^2.
 _CHUNK_WORDS = 64
 _BLOCK_CELLS = 1 << 18
 
 
+class _ChunkStatistics(NamedTuple):
+    """The line statistics of a chunk of words.  The support entries of the
+    words are concatenated in word order, each tagged with its word."""
+
+    witnesses: list  # per word: the first line not 0 mod p, None for a dual word
+    line_counts: np.ndarray  # words x N: |line cap support|
+    owner: np.ndarray  # per entry: the index of its word in the chunk
+    values: np.ndarray  # per entry: the word's value there
+    secants: np.ndarray  # per entry: x + S*y + S^2*z at its point (_secant_code)
+
+
 def analyze(word: CodeWord, plane: Plane, override_non_dual: bool = False) -> WordAnalysis:
     """Full diagnostic record for a word against its plane: analyze_words
-    for one word, which reads the lines through its support."""
-    _check_words([word], plane)
-    return _analysis(word, plane, *_support_statistics(word, plane), override_non_dual)
+    for a chunk of one word."""
+    return next(analyze_words([word], plane, override_non_dual))
 
 
 def analyze_words(
@@ -191,22 +187,22 @@ def analyze_words(
     checked before the first record.  A lone word reads the lines through
     its support; two or more go in chunks of _CHUNK_WORDS through exact
     products with the incidence, which cost less per word in a batch but
-    more for one word alone."""
+    more for one word alone.  Either way the rest of each chunk is computed
+    once over the concatenated supports (_records)."""
     words = list(words)
     if not words:
         return
     _check_words(words, plane)
-    # line sums, line counts, x, y, z of the words of a chunk, reused by the chunks
+    # line sums, line counts and secant codes of a chunk's words, reused by the chunks
     n = min(len(words), _CHUNK_WORDS)
-    buffers = np.empty((5, n, plane.npoints), dtype=np.int64) if n > 1 else None
+    buffers = np.empty((3, n, plane.npoints), dtype=np.int64) if n > 1 else None
     for start in range(0, len(words), _CHUNK_WORDS):
         chunk = words[start : start + _CHUNK_WORDS]
         if len(chunk) == 1:
-            stats = [_support_statistics(chunk[0], plane)]
+            stats = _support_statistics(chunk[0], plane)
         else:
             stats = _product_statistics(chunk, plane, buffers)
-        for w, (witness, line_counts, x, y, z) in zip(chunk, stats):
-            yield _analysis(w, plane, witness, line_counts, x, y, z, override_non_dual)
+        yield from _records(chunk, plane, stats, override_non_dual)
 
 
 def _check_words(words: list[CodeWord], plane: Plane) -> None:
@@ -227,13 +223,39 @@ def _check_words(words: list[CodeWord], plane: Plane) -> None:
             )
 
 
-def _support_statistics(w: CodeWord, plane: Plane):
-    """(witness, line counts, x, y, z) of one word, read over the lines
-    through its support."""
-    line_counts = plane.line_counts(w.support)
-    rows = np.take(line_counts, plane.point_lines_arr[w.support])  # the lines through each point
-    x, y, z = ((rows == k).sum(axis=1) for k in (2, 3, 4))
-    return is_dual_word(w, plane)[1], line_counts, x, y, z
+def _encoding_base(plane: Plane, p: int) -> int:
+    """B = (q+1)(p-1) + 1: a line's values sum to less than B, so v + B*[v != 0]
+    summed over a line is its sum plus B times its count, read back by divmod."""
+    return (plane.order + 1) * (p - 1) + 1
+
+
+@functools.lru_cache(maxsize=8)
+def _secant_code(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The code of a line met in k = 0..q+1 points, 1, S or S^2 for k = 2,
+    3, 4 and 0 for any other k, with S = q+2; and the column 1, S, S^2 that
+    decodes.  A point is on q+1 lines, so the codes of its lines sum to
+    x + S*y + S^2*z with x, y, z < S."""
+    s = order + 2
+    code = np.zeros(max(s, 5), dtype=np.int64)
+    code[2:5] = (1, s, s * s)
+    code.flags.writeable = False
+    return code, code[2:5, None]
+
+
+def _support_statistics(w: CodeWord, plane: Plane) -> _ChunkStatistics:
+    """The statistics of one word, added up over the lines through its
+    support: one encoded sum per line gives its sum and count."""
+    support, p, base = w.support, w.p, _encoding_base(plane, w.p)
+    values = w.values[support]
+    lines = plane.point_lines_arr[support]  # the lines through each point
+    encoded = np.zeros(plane.npoints, dtype=np.int64)
+    np.add.at(encoded, lines.ravel(), np.repeat(values + base, plane.order + 1))
+    counts, sums = np.divmod(encoded, base)
+    secants = _secant_code(plane.order)[0].take(counts).take(lines).sum(axis=1)
+    bad = np.flatnonzero(sums % p)
+    witness = int(bad[0]) if bad.size else None
+    owner = np.zeros(support.size, dtype=np.intp)
+    return _ChunkStatistics([witness], counts[None], owner, values, secants)
 
 
 def _incidence_block(plane: Plane, points: np.ndarray) -> np.ndarray:
@@ -243,81 +265,134 @@ def _incidence_block(plane: Plane, points: np.ndarray) -> np.ndarray:
     return block
 
 
-def _product_statistics(words: list[CodeWord], plane: Plane, buffers: np.ndarray):
-    """(witness, line counts, x, y, z) of each word of a chunk, from five
-    exact products (codes.exact_matmul) with the incidence I of the points
-    of U, the union of the supports, with the lines: the line sums (values
-    on U) @ I, whose first line not 0 mod p is the witness, and the line
-    counts (support on U) @ I, then x, y and z as (counts == k) @ I.T for
-    k = 2, 3, 4, read at each word's support.  I is built in blocks of
-    points, once for the sums and counts and once for x, y, z.  The line
-    sums stay in buffers[0] until the next chunk."""
-    p, n = words[0].p, len(words)
+def _product_statistics(
+    words: list[CodeWord], plane: Plane, buffers: np.ndarray
+) -> _ChunkStatistics:
+    """The statistics of a chunk from exact products (codes.exact_matmul)
+    with the incidence I of the points of U, the union of the supports, with
+    the lines.  One product (v + B*[v != 0] on U) @ I gives each line's sum
+    and count (_encoding_base); the witness is the first line whose sum is
+    not 0 mod p.  One product (code of each line's count) @ I.T gives x, y
+    and z (_secant_code), read at each support.  I is built in blocks of
+    points, once for each product.  The line sums stay in buffers[0] until
+    the next chunk."""
+    p, n, q = words[0].p, len(words), plane.order
+    base = _encoding_base(plane, p)
     values = np.stack([w.values for w in words])
-    union = np.flatnonzero(values.any(axis=0))
+    on = values != 0  # the supports; read row by row, they are in word order
+    union = np.flatnonzero(on.any(axis=0))
     step = max(1, _BLOCK_CELLS // plane.npoints)
     blocks = [union[s : s + step] for s in range(0, union.size, step)]
-    buf = buffers[:, :n]
-    buf.fill(0)
-    sums, counts, secants = buf[0], buf[1], buf[2:]
+    sums, counts, secants = buffers[:, :n]
+    counts.fill(0)
     for points in blocks:
         on_u = values[:, points]
-        both = exact_matmul(np.concatenate([on_u, on_u != 0]), _incidence_block(plane, points), p)
-        sums += both[:n]
-        counts += both[n:]
+        on_u += base * (on_u != 0)
+        # q+1 points on a line, each at most B + p - 1
+        counts += exact_matmul(on_u, _incidence_block(plane, points), p, (q + 1) * (base + p - 1))
+    np.divmod(counts, base, out=(counts, sums))
     # x, y and z read only the lines that meet some support in 2, 3 or 4
     # points: none, on the dense random dual words of PG(2,25)
     near = np.flatnonzero(((counts >= 2) & (counts <= 4)).any(axis=0))
     if near.size:
-        kinds = (counts[:, near] == np.array([2, 3, 4])[:, None, None]).reshape(3 * n, -1)
+        codes = _secant_code(q)[0].take(counts[:, near])
         for points in blocks:
-            got = exact_matmul(kinds, _incidence_block(plane, points)[:, near].T, p)
-            secants[:, :, points] = got.reshape(3, n, -1)
+            # q+1 lines through a point, each of code at most S^2
+            incidence = _incidence_block(plane, points)[:, near].T
+            secants[:, points] = exact_matmul(codes, incidence, p, (q + 1) * (q + 2) ** 2)
+        through = secants[on]
+    else:
+        through = np.zeros(np.count_nonzero(on), dtype=np.int64)
     bad = sums % p != 0
     first = bad.argmax(axis=1)
-    dual = ~bad[np.arange(n), first]
-    for i, w in enumerate(words):
-        x, y, z = secants[:, i, w.support]
-        yield None if dual[i] else int(first[i]), counts[i].copy(), x, y, z
+    found = bad[np.arange(n), first].tolist()
+    witnesses = [line if b else None for line, b in zip(first.tolist(), found)]
+    owner = np.repeat(np.arange(n), on.sum(axis=1))
+    return _ChunkStatistics(witnesses, counts, owner, values[on], through)
 
 
-def _analysis(
-    word: CodeWord, plane: Plane, witness, line_counts, x, y, z, override_non_dual: bool
-) -> WordAnalysis:
-    """The record of a word from its line statistics (the witness is None
-    for a dual word): canonical scaling, colours, mu and the checklist."""
-    p = word.p
-    dual = witness is None
-    if not dual and not override_non_dual:
-        raise NotDualWordError(f"word is not in the dual code; witness line {witness}")
-    support = word.support
-    canonical = canonicalize(word, x, support)
-    sizes = np.bincount(canonical.values[support], minlength=p).tolist()
+@functools.lru_cache(maxsize=None)
+def _residue_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """c^-1 mod p for c = 0..p-1 (0 at c = 0), and the columns lambda and
+    -lambda mod p that turn colour class sizes into mu and mu_neg."""
+    inverse = np.array([0] + [pow(c, p - 2, p) for c in range(1, p)], dtype=np.int64)
+    symbols = np.arange(p)
+    sums = np.stack([symbols, -symbols % p], axis=1)
+    inverse.flags.writeable = sums.flags.writeable = False
+    return inverse, sums
+
+
+def _records(
+    words: list[CodeWord], plane: Plane, stats: _ChunkStatistics, override_non_dual: bool
+) -> Iterator[WordAnalysis]:
+    """The records of a chunk.  Weights, the canonical scaling, colour class
+    sizes, mu, mu_neg and tangents are computed once over the concatenated
+    supports; the checklist and the classification run per record.
+
+    Canonical scaling: the word is scaled by c^-1 for the support value c of
+    least key, first whether it fails to be p - v for the value v of a
+    support point of minimal x (so that, where it can, such a point lands
+    in K_{p-1}), then the scaled value at the word's first support point.
+    All scalings share the support and differ at each of its points, so
+    this is the least value vector among the preferred scalings."""
+    p, n = words[0].p, len(words)
+    owner, values = stats.owner, stats.values
+    xyz = stats.secants // _secant_code(plane.order)[1]
+    xyz %= plane.order + 2
+    inverse, symbol_sums = _residue_tables(p)
+    own = np.bincount(owner * p + values, minlength=n * p).reshape(n, p)  # the words' value counts
+    weights = own.sum(axis=1)
+    ends = weights.cumsum()
+    full = weights > 0
+    starts = (ends - weights)[full]
+    xmin = np.zeros(n, dtype=np.int64)
+    first = np.zeros(n, dtype=np.int64)
+    if starts.size:
+        xmin[full] = np.minimum.reduceat(xyz[0], starts)
+        first[full] = values[starts]
+    at_min = xyz[0] == xmin[owner]
+    # scaled by c^-1, a point of value v lands in K_{p-1} exactly when c = p - v
+    preferred = np.zeros(n * p, dtype=bool)
+    preferred[owner[at_min] * p + p - values[at_min]] = True
+    key = first[:, None] * inverse % p + p * ~preferred.reshape(n, p)
+    key[own == 0] = 2 * p  # a value no support point has is never chosen
+    c = key.argmin(axis=1)
+    scales = np.where(full, inverse[c], 1)
+    # the scaled word's colour lambda is the word's value lambda * c
+    colours = own[np.arange(n)[:, None], np.arange(p) * c[:, None] % p]
+    mus, mus_neg = (colours @ symbol_sums).T  # mu(-c) has its symbols in [0, p)
+    tangents = (stats.line_counts == 1).sum(axis=1)
     square = plane.order == p * p
-    epsilon = word.weight - (2 * p * p - 2 * p + 2) if square else None
-
-    a = WordAnalysis(
-        word=word,
-        canonical=canonical,
-        p=p,
-        weight=word.weight,
-        epsilon=epsilon,
-        in_band=square and dual and 1 <= epsilon <= p - 2,
-        dual=dual,
-        witness=witness,
-        tangents=int((line_counts == 1).sum()),
-        colours={lam: n for lam, n in enumerate(sizes) if lam and n},
-        mu=canonical.mu(),
-        mu_neg=int(np.remainder(-canonical.values[support], p).sum()),  # mu(-c), its symbols in [0, p)
-        x=x,
-        y=y,
-        z=z,
-        support=support,
-        line_counts=line_counts,
-    )
-    _run_checklist(a, plane)
-    a.classification = _classify(a)
-    return a
+    rows = zip(words, stats.witnesses, weights.tolist(), ends.tolist(), scales.tolist(),
+               colours.tolist(), mus.tolist(), mus_neg.tolist(), tangents.tolist())
+    for i, (w, witness, weight, end, scale, sizes, mu, mu_neg, tangent_count) in enumerate(rows):
+        dual = witness is None
+        if not dual and not override_non_dual:
+            raise NotDualWordError(f"word is not in the dual code; witness line {witness}")
+        epsilon = weight - (2 * p * p - 2 * p + 2) if square else None
+        x, y, z = xyz[:, end - weight : end].copy()
+        a = WordAnalysis(
+            word=w,
+            canonical=w if scale == 1 else w.scale(scale),
+            p=p,
+            weight=weight,
+            epsilon=epsilon,
+            in_band=square and dual and 1 <= epsilon <= p - 2,
+            dual=dual,
+            witness=witness,
+            tangents=tangent_count,
+            colours={lam: k for lam, k in enumerate(sizes) if lam and k},
+            mu=mu,
+            mu_neg=mu_neg,
+            x=x,
+            y=y,
+            z=z,
+            support=w.support,
+            line_counts=stats.line_counts[i].copy(),
+        )
+        _run_checklist(a, plane)
+        a.classification = _classify(a)
+        yield a
 
 
 # The checklist.  Each check states its hypothesis once, as a sequence of
@@ -386,7 +461,7 @@ def _secant_counts(a: WordAnalysis, plane: Plane) -> tuple[bool, str]:
     ok1 = bool((2 * a.x + a.y >= p * p + 2 * p + 2 - eps).all())
     ok2 = bool((3 * a.x + 2 * a.y + a.z >= 2 * p * p + 2 * p + 3 - eps).all())
     rows = np.take(a.line_counts, plane.point_lines_arr[a.support])  # the lines through each point
-    correction = ((rows - 3) * (rows >= 4)).sum(axis=1)
+    correction = np.maximum(rows - 3, 0).sum(axis=1)  # sum of k-3 over its k-secants, k >= 4
     ok3 = bool((a.x == 2 * p + 1 - eps + correction).all())
     return ok1 and ok2 and ok3, f"{ok1},{ok2},{ok3}"
 
@@ -463,15 +538,31 @@ CHECKLIST = (
 )
 
 
+# one na result per (check, reason), shared by the records: CheckResult is frozen
+_NA_RESULTS: dict[tuple[str, str], CheckResult] = {}
+
+
+@functools.lru_cache(maxsize=1024)
+def _colour_components(p: int, colours: frozenset) -> tuple[tuple[int, ...], ...]:
+    return tuple(ColourGraph(p).components(colours))
+
+
 def _run_checklist(a: WordAnalysis, plane: Plane) -> None:
-    a.colour_components = ColourGraph(a.p).components(a.colours)
+    a.colour_components = list(_colour_components(a.p, frozenset(a.colours)))
+    reasons = {}  # each distinct hypothesis is evaluated once
     for name, hypothesis, test in CHECKLIST:
-        reason = next((why for holds, why in hypothesis if not holds(a)), None)
+        key = id(hypothesis)
+        if key not in reasons:
+            reasons[key] = next((why for holds, why in hypothesis if not holds(a)), None)
+        reason = reasons[key]
         if reason:
-            a.checks.append(CheckResult(name, NA, reason))
+            result = _NA_RESULTS.get((name, reason)) or _NA_RESULTS.setdefault(
+                (name, reason), CheckResult(name, NA, reason)
+            )
         else:
             ok, detail = test(a, plane)
-            a.checks.append(CheckResult(name, PASS if ok else FAIL, detail))
+            result = CheckResult(name, PASS if ok else FAIL, detail)
+        a.checks.append(result)
 
 
 def _classify(a: WordAnalysis) -> str:

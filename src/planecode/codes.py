@@ -56,14 +56,18 @@ def _fits(terms: int, p: int, limit: int) -> bool:
     return terms * (p - 1) ** 2 + p < limit
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b exactly, as int64, for 2-D matrices a and b of entries in (-p, p).
+def exact_matmul(a: np.ndarray, b: np.ndarray, p: int, largest: int | None = None) -> np.ndarray:
+    """a @ b exactly, as int64, for 2-D matrices a and b of entries in (-p, p),
+    or of nonnegative entries whose every sum the caller bounds by `largest`.
 
     One float64 BLAS product, whose sums stay below 2^53 in magnitude, then
-    an exact cast to int64.  Raises CodesError when the inner dimension would
-    let them reach that bound.
+    an exact cast to int64.  Raises CodesError when the inner dimension, or
+    `largest`, would let them reach that bound.
     """
-    if not _fits(a.shape[1], p, _FLOAT_LIMIT):
+    if largest is not None:
+        if largest >= _FLOAT_LIMIT:
+            raise CodesError(f"sums of up to {largest} are not exact in float64 (bound 2^53)")
+    elif not _fits(a.shape[1], p, _FLOAT_LIMIT):
         raise CodesError(f"an inner dimension of {a.shape[1]} at p = {p} is not exact in float64")
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 

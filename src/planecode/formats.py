@@ -92,8 +92,9 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], np.ndar
                 except ValueError:
                     stop = i
                     break
-    counts = np.array([len(entry.split()) for entry in entries[:stop]], dtype=np.int64)
-    vals = np.fromstring(" ".join(entries[:stop]), dtype=np.int64, sep=" ")
+    data = "\n".join(["", *entries[:stop], ""])  # each row between two newlines
+    vals = np.fromstring(data[1:-1], dtype=np.int64, sep=" ")
+    counts = _row_lengths(data)
     row = np.arange(stop).repeat(counts)
     # one sort of the keys row*span + point: equal neighbours are a repeated
     # point, or two points the clip merged, which the range test marks anyway
@@ -116,6 +117,16 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], np.ndar
             f"line {line}: header says lines={fields['lines']}, file has {len(entries)} rows"
         )
     return line, fields, vals, counts
+
+
+def _row_lengths(data: str) -> np.ndarray:
+    """The number of integers on each row of plain text that begins and ends
+    with a newline and has one between rows: the digit runs that start
+    between two consecutive newlines, from one pass over the bytes."""
+    raw = np.frombuffer(data.encode("ascii"), dtype=np.uint8)
+    digit = raw >= ord("0")  # a plain row holds only digits, spaces and tabs
+    starts = np.flatnonzero(digit[1:] > digit[:-1])  # the byte before each run
+    return np.diff(np.searchsorted(starts, np.flatnonzero(raw == ord("\n"))))
 
 
 def _plain(text: str) -> bool:

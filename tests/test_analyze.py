@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import planecode.acceptance as acceptance
 import planecode.analyze as analyzer
 from planecode.analyze import (
     CHECKLIST,
@@ -16,11 +18,11 @@ from planecode.analyze import (
     NotDualWordError,
     StructureMismatchError,
     analyze,
-    canonicalize,
     extract_antipodal,
     extract_baer,
 )
 from planecode.codes import (
+    CodesError,
     CodeWord,
     LengthMismatchError,
     code_of_plane,
@@ -604,13 +606,17 @@ def _canonical_corpus(pg9, pg25, pg49):
 
 
 def test_canonicalize_is_scaling_invariant_and_matches_the_reference(pg9, pg25, pg49):
+    # the canonical word of every scaling of w, one at a time and in one chunk
     seen = set()
     for w, plane in _canonical_corpus(pg9, pg25, pg49):
         a = analyze(w, plane, override_non_dual=True)
         want = reference_canonicalize(w, a.x, a.support)
-        assert canonicalize(w, a.x, a.support) == want
-        for lam in range(1, w.p):
-            assert canonicalize(w.scale(lam), a.x, a.support) == want
+        assert a.canonical == want
+        scaled = [w.scale(lam) for lam in range(1, w.p)]
+        batch = analyzer.analyze_words(scaled, plane, override_non_dual=True)
+        for v, b in zip(scaled, batch):
+            assert analyze(v, plane, override_non_dual=True).canonical == want
+            assert b.canonical == want
         seen.add((w.p, a.dual))
     assert seen == {(p, d) for p in (2, 3, 5, 7) for d in (True, False)}
 
@@ -742,11 +748,87 @@ def test_batches_match_the_support_path(p, monkeypatch):
         lone = ["_support_statistics"] if n % chunk == 1 else []
         assert paths == ["_product_statistics"] * (n // chunk + (n % chunk > 1)) + lone
     # the products' line sums, left in the buffers, are the support path's
-    buffers = np.empty((5, chunk, plane.npoints), dtype=np.int64)
-    witnesses = [s[0] for s in analyzer._product_statistics(words[:chunk], plane, buffers)]
+    buffers = np.empty((3, chunk, plane.npoints), dtype=np.int64)
+    witnesses = analyzer._product_statistics(words[:chunk], plane, buffers).witnesses
     assert witnesses == [a.witness for a in want[:chunk]]
     for w, sums in zip(words, buffers[0]):
         assert np.array_equal(sums, line_sums(w, plane))
+
+
+# criterion 10's detail at seed 0, as the per-word analyzer gave it
+CRITERION_10_SEED_0 = (
+    "q=4: 501 words, 0 failed checks (pass 2004, na 4008, fail 0); "
+    "q=9: 503 words, 0 failed checks (pass 2019, na 4017, fail 0); "
+    "q=25: 502 words, 0 failed checks (pass 2015, na 4009, fail 0)"
+)
+
+
+def test_criterion_10_batches_match_one_word_at_a_time(monkeypatch):
+    calls = []
+    real = acceptance.analyze_words
+
+    def capture(words, plane, *args):
+        calls.append((list(words), plane))
+        return real(calls[-1][0], plane, *args)
+
+    monkeypatch.setattr(acceptance, "analyze_words", capture)
+    row = acceptance.criterion_10_analyzer_suite(acceptance.AcceptanceContext(seed=0))
+    assert row.passed and row.detail == CRITERION_10_SEED_0
+    assert [(plane.order, len(words)) for words, plane in calls] == [(4, 501), (9, 503), (25, 502)]
+    for words, plane in calls:
+        batch = list(analyzer.analyze_words(words, plane))
+        assert len(batch) == len(words)
+        for w, a in zip(words, batch):
+            _same_record(a, analyze(w, plane))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_prime_order_planes_analyse_alike_in_a_batch_and_alone(p):
+    # q = p: a line meets a support in at most q+1 < 5 points
+    plane = pg2(field_new(p))
+    rng = np.random.default_rng(p)
+    words = [line_diff(plane, 0, 1), CodeWord(p, np.zeros(plane.npoints, dtype=np.int64))]
+    words += [CodeWord(p, rng.integers(0, p, size=plane.npoints)) for _ in range(6)]
+    batch = list(analyzer.analyze_words(words, plane, override_non_dual=True))
+    for w, a in zip(words, batch):
+        _same_record(a, analyze(w, plane, override_non_dual=True))
+        rows = plane.line_counts(w.support)[plane.point_lines_arr[w.support]]
+        for k, got in ((2, a.x), (3, a.y), (4, a.z)):
+            assert got.tolist() == (rows == k).sum(axis=1).tolist()
+
+
+def test_check_results_are_frozen_and_na_results_shared(pg9):
+    a, b = analyze(line_diff(pg9, 0, 1), pg9), analyze(line_diff(pg9, 5, 2), pg9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.checks[0].status = FAIL
+    shared = [(c, d) for c, d in zip(a.checks, b.checks) if c.status == NA]
+    assert len(shared) == 8 and all(c is d for c, d in shared)
+
+
+def test_the_encoded_product_refuses_sums_beyond_2_to_the_53(monkeypatch):
+    # synthetic: PG(2,2)'s incidence under a claimed order q, so that
+    # B = (q+1)(p-1)+1 = q+2 at p = 2; no plane of that order is built
+    plane = pg2(field_new(2))
+    words = [CodeWord(2, np.eye(7, dtype=np.int64)[i]) for i in (0, 3)]  # no 2-, 3- or 4-secant
+    buffers = np.empty((3, 2, 7), dtype=np.int64)
+    want = [is_dual_word(w, plane)[1] for w in words]
+
+    def statistics(q):
+        fake = types.SimpleNamespace(order=q, npoints=7, point_lines_arr=plane.point_lines_arr)
+        return analyzer._product_statistics(words, fake, buffers)
+
+    # the largest q whose encoded line sums, at most (q+1)(B+1), stay below 2^53
+    q = 94906263
+    assert (q + 1) * (q + 3) < 2**53 <= (q + 2) * (q + 4)
+    stats = statistics(q)
+    assert stats.witnesses == want
+    assert np.array_equal(stats.line_counts, [plane.line_counts(w.support) for w in words])
+    # beyond it, and where B*(q+1) itself reaches 2^53
+    reach = 94906265
+    assert (reach + 2) * (reach + 1) >= 2**53 > (reach + 1) * reach
+    for q in (q + 1, reach):
+        with pytest.raises(CodesError, match=r"not exact in float64 \(bound 2\^53\)"):
+            statistics(q)
 
 
 def test_a_batch_refuses_what_analyze_refuses(pg9):

@@ -89,6 +89,23 @@ def test_plane_and_pls_text_reject_malformed_files(parse, text, match):
         parse(text)
 
 
+def test_row_lengths_match_str_split_on_blanks_and_tabs():
+    # the byte pass counts what str.split() counts on each row
+    rng = random.Random(5)
+    blanks = [" ", "  ", "\t", " \t ", "\t\t", "   "]
+    rows = []
+    for _ in range(300):
+        points = rng.sample(range(1000), rng.randrange(2, 12))
+        row = "".join(rng.choice(blanks) + str(x) for x in points) + rng.choice(["", *blanks])
+        rows.append(row if rng.random() < 0.5 else row.lstrip())
+    rows += ["0 1", "\t2\t3\t", "  4    5  ", "6\t \t7"]
+    text = f"pls points=1000 lines={len(rows)}\n" + "\n".join(rows) + "\n"
+    _, _, vals, counts = formats._incidence_rows(text, "pls points=<N> lines=<M>")
+    assert counts.tolist() == [len(row.split()) for row in rows]
+    assert vals.tolist() == [int(x) for row in rows for x in row.split()]
+    assert formats._row_lengths("\n").tolist() == []
+
+
 def reference_incidence_rows(text, usage):
     """The per-line parser of plane and pls bodies: every row through int()
     and its checks in file order."""
