@@ -230,16 +230,15 @@ def _encoding_base(plane: Plane, p: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _secant_code(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The code of a line met in k = 0..q+1 points, 1, S or S^2 for k = 2,
-    3, 4 and 0 for any other k, with S = q+2; and the column 1, S, S^2 that
-    decodes.  A point is on q+1 lines, so the codes of its lines sum to
-    x + S*y + S^2*z with x, y, z < S."""
+def _secant_code(order: int) -> np.ndarray:
+    """The code of a line met in k = 0..q+1 points: 1, S or S^2 for k = 2,
+    3, 4 and 0 for any other k, with S = q+2.  A point is on q+1 lines, so
+    the codes of its lines sum to x + S*y + S^2*z with x, y, z < S."""
     s = order + 2
     code = np.zeros(max(s, 5), dtype=np.int64)
     code[2:5] = (1, s, s * s)
     code.flags.writeable = False
-    return code, code[2:5, None]
+    return code
 
 
 def _support_statistics(w: CodeWord, plane: Plane) -> _ChunkStatistics:
@@ -251,7 +250,7 @@ def _support_statistics(w: CodeWord, plane: Plane) -> _ChunkStatistics:
     encoded = np.zeros(plane.npoints, dtype=np.int64)
     np.add.at(encoded, lines.ravel(), np.repeat(values + base, plane.order + 1))
     counts, sums = np.divmod(encoded, base)
-    secants = _secant_code(plane.order)[0].take(counts).take(lines).sum(axis=1)
+    secants = _secant_code(plane.order).take(counts).take(lines).sum(axis=1)
     bad = np.flatnonzero(sums % p)
     witness = int(bad[0]) if bad.size else None
     owner = np.zeros(support.size, dtype=np.intp)
@@ -295,7 +294,7 @@ def _product_statistics(
     # points: none, on the dense random dual words of PG(2,25)
     near = np.flatnonzero(((counts >= 2) & (counts <= 4)).any(axis=0))
     if near.size:
-        codes = _secant_code(q)[0].take(counts[:, near])
+        codes = _secant_code(q).take(counts[:, near])
         for points in blocks:
             # q+1 lines through a point, each of code at most S^2
             incidence = _incidence_block(plane, points)[:, near].T
@@ -337,7 +336,7 @@ def _records(
     this is the least value vector among the preferred scalings."""
     p, n = words[0].p, len(words)
     owner, values = stats.owner, stats.values
-    xyz = stats.secants // _secant_code(plane.order)[1]
+    xyz = stats.secants // _secant_code(plane.order)[2:5, None]  # 1, S, S^2
     xyz %= plane.order + 2
     inverse, symbol_sums = _residue_tables(p)
     own = np.bincount(owner * p + values, minlength=n * p).reshape(n, p)  # the words' value counts

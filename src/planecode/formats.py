@@ -92,9 +92,7 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], np.ndar
                 except ValueError:
                     stop = i
                     break
-    data = "\n".join(["", *entries[:stop], ""])  # each row between two newlines
-    vals = np.fromstring(data[1:-1], dtype=np.int64, sep=" ")
-    counts = _row_lengths(data)
+    vals, counts = _body_integers(entries[:stop])
     row = np.arange(stop).repeat(counts)
     # one sort of the keys row*span + point: equal neighbours are a repeated
     # point, or two points the clip merged, which the range test marks anyway
@@ -119,10 +117,21 @@ def _incidence_rows(text: str, usage: str) -> tuple[int, dict[str, int], np.ndar
     return line, fields, vals, counts
 
 
+def _body_integers(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The integers of plain rows in one int64 array, and how many each row
+    holds: one np.fromstring over the rows joined by newlines, and the row
+    lengths from one pass over its bytes (_row_lengths)."""
+    if not rows:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    data = "\n".join(["", *rows, ""])  # each row between two newlines
+    counts = _row_lengths(data)
+    return np.fromstring(data, dtype=np.int64, sep=" "), counts
+
+
 def _row_lengths(data: str) -> np.ndarray:
     """The number of integers on each row of plain text that begins and ends
     with a newline and has one between rows: the digit runs that start
-    between two consecutive newlines, from one pass over the bytes."""
+    between two consecutive newlines."""
     raw = np.frombuffer(data.encode("ascii"), dtype=np.uint8)
     digit = raw >= ord("0")  # a plain row holds only digits, spaces and tabs
     starts = np.flatnonzero(digit[1:] > digit[:-1])  # the byte before each run
