@@ -131,7 +131,8 @@ class WordAnalysis:
 
     def tally(self) -> dict[str, int]:
         """How many checks passed, were not applicable, and failed."""
-        return {s: sum(c.status == s for c in self.checks) for s in (PASS, NA, FAIL)}
+        statuses = [c.status for c in self.checks]
+        return {s: statuses.count(s) for s in (PASS, NA, FAIL)}
 
     def to_report(self) -> dict:
         return {
@@ -551,9 +552,15 @@ def _run_checklist(a: WordAnalysis, plane: Plane) -> None:
     reasons = {}  # each distinct hypothesis is evaluated once
     for name, hypothesis, test in CHECKLIST:
         key = id(hypothesis)
-        if key not in reasons:
-            reasons[key] = next((why for holds, why in hypothesis if not holds(a)), None)
-        reason = reasons[key]
+        if key in reasons:
+            reason = reasons[key]
+        else:
+            for holds, reason in hypothesis:
+                if not holds(a):
+                    break
+            else:
+                reason = None
+            reasons[key] = reason
         if reason:
             result = _NA_RESULTS.get((name, reason)) or _NA_RESULTS.setdefault(
                 (name, reason), CheckResult(name, NA, reason)
