@@ -855,10 +855,11 @@ def test_a_batch_refuses_what_analyze_refuses(pg9):
 def test_a_dense_batch_at_q49_stays_within_its_memory_bound(pg49):
     # 200 dense dual words at q=49 (N = 2451): the union of every chunk's
     # supports is all N points, so their incidence is N x N, 48 MB as
-    # doubles.  The batch path holds five 64 x N int64 arrays (6.3 MB), the
-    # chunk's values (1.3 MB) and one block of 106 points at a time (2.1 MB
-    # as doubles), with a product of 2 x 64 x N doubles and its integer copy
-    # (2.5 MB each): 15 MiB above the input, bounded here by 20 MiB.
+    # doubles.  The batch path holds three 64 x N int64 arrays (3.8 MB), the
+    # chunk's values (1.3 MB), its concatenated supports and one block of
+    # 106 points at a time (2.1 MB as doubles), with a product of 64 x N
+    # doubles and its integer copy (1.3 MB each): 14 MiB above the input,
+    # bounded here by 20 MiB.
     import tracemalloc
 
     words = _dense_dual_words(pg49, 7, np.random.default_rng(49), 200)
