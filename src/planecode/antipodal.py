@@ -41,6 +41,12 @@ class PLSError(AntipodalError):
     pass
 
 
+class SharedPairError(PLSError):
+    def __init__(self, pair: tuple[int, int], earlier: int, later: int):  # line indices
+        self.pair, self.earlier, self.later = pair, earlier, later
+        super().__init__(f"points {pair} lie on two lines ({earlier} and {later})")
+
+
 class PartialLinearSpace:
     """Points 0..n-1 and lines of size >= 2; two points on at most one line."""
 
@@ -50,38 +56,35 @@ class PartialLinearSpace:
         self.n_points = n_points
         self.lines = tuple(tuple(sorted(l)) for l in lines)
         self.line_sets = tuple(frozenset(l) for l in self.lines)
-        seen: dict[tuple[int, int], int] = {}
         pl: list[list[int]] = [[] for _ in range(n_points)]
         for i, l in enumerate(self.lines):
-            if len(l) < 2 or len(set(l)) != len(l):
+            if len(l) < 2 or len(self.line_sets[i]) != len(l):
                 raise PLSError(f"line {i} must have at least two distinct points: {l}")
             if l[0] < 0 or l[-1] >= n_points:
                 raise PLSError(f"line {i} has out-of-range point index")
-            for a in range(len(l)):
-                for b in range(a + 1, len(l)):
-                    pair = (l[a], l[b])
-                    if pair in seen:
-                        raise PLSError(
-                            f"points {pair} lie on two lines ({seen[pair]} and {i})"
-                        )
-                    seen[pair] = i
             for p in l:
                 pl[p].append(i)
-        self.pair_line = seen
         self.point_lines = tuple(tuple(x) for x in pl)
+        # point by point, storing no pair: p's lines hold each point above p once
+        for p, through in enumerate(self.point_lines):
+            first: dict[int, int] = {}
+            for i in through:
+                for q in self.lines[i]:
+                    if q > p and first.setdefault(q, i) != i:
+                        raise SharedPairError((p, q), first[q], i)
 
     def collinear(self, p: int, q: int) -> bool:
         return p == q or self.line_through(p, q) is not None
 
     def line_through(self, p: int, q: int) -> int | None:
-        """The line joining two points, or None if they are not collinear."""
-        a, b = (p, q) if p < q else (q, p)
-        return self.pair_line.get((a, b))
+        """The common entry of two point_lines rows; None if none, p == q or p is out of range."""
+        if p == q or not 0 <= p < self.n_points:
+            return None
+        return next((i for i in self.point_lines[p] if q in self.line_sets[i]), None)
 
     def meet(self, l1: int, l2: int) -> int | None:
         """The common point of two distinct lines, or None if they are disjoint."""
-        common = self.line_sets[l1] & self.line_sets[l2]
-        return next(iter(common)) if common else None
+        return next(iter(self.line_sets[l1] & self.line_sets[l2]), None)
 
     def __eq__(self, other) -> bool:
         return (

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .antipodal import PartialLinearSpace
+from .antipodal import PartialLinearSpace, SharedPairError
 from .codes import CodeWord
 from .field import _TABLE_LIMIT, is_prime
 from .geometry import INGEST_ORDER_CAP, Plane, plane_from_incidence
@@ -202,7 +202,14 @@ def pls_to_text(pls: PartialLinearSpace) -> str:
 def pls_from_text(text: str) -> PartialLinearSpace:
     _, fields, vals, counts = _incidence_rows(text, "pls points=<N> lines=<M>")
     flat, ends = vals.tolist(), np.cumsum(counts).tolist()
-    return PartialLinearSpace(fields["points"], [flat[e - c : e] for e, c in zip(ends, counts.tolist())])
+    rows = [flat[e - c : e] for e, c in zip(ends, counts.tolist())]
+    try:
+        return PartialLinearSpace(fields["points"], rows)
+    except SharedPairError as e:  # the only fault the rows can have left
+        at = [n for n, l in enumerate(text.splitlines(), 1) if l.strip()][1:]  # each row's line
+        raise FormatError(
+            f"line {at[e.later]}: points {e.pair} already lie on the row on line {at[e.earlier]}"
+        ) from None
 
 
 def write_pls(pls: PartialLinearSpace, path) -> None:

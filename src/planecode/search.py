@@ -18,6 +18,8 @@ structures without a qualifying seed get the plain exhaustive search.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -125,10 +127,50 @@ def normalize_frame(pls: PartialLinearSpace) -> tuple[int, int, int, int]:
     raise NoQuadrangleError("no frame-safe quadrangle in this structure")
 
 
+def _placement_plan(pls: PartialLinearSpace, pinned: dict[int, int]) -> list[tuple[int, tuple]]:
+    """The order in which the search places the source points and, for each
+    point, the lines it determines, each with its earlier placed point.
+
+    The pinned points come first, in order.  Then fail-first: the most lines
+    with two placed points, then the most with one (their images get forced),
+    the least index on a tie.  Neither count reads an image, so the order is
+    the same on every branch: it is computed once, with incremental scores."""
+    n = pls.n_points
+    score = [0] * n  # n * (lines with two placed points) + (lines with one); a degree is < n
+    placed = [0] * len(pls.lines)
+    first = [0] * len(pls.lines)  # the first placed point of a line
+    done = [False] * n
+    heap = [(0, p) for p in range(n)]  # (-score, point); sorted, so a heap
+    pins = list(pinned)
+    plan = []
+    while len(plan) < n:
+        # a score only grows, so a point's newest entry leaves the heap first
+        p = pins[len(plan)] if len(plan) < len(pins) else heapq.heappop(heap)[1]
+        if done[p]:
+            continue
+        done[p] = True
+        forced = []
+        for li in pls.point_lines[p]:
+            placed[li] += 1
+            if placed[li] == 1:
+                first[li], gain = p, 1
+            elif placed[li] == 2:
+                forced.append((li, first[li]))
+                gain = n - 1
+            else:
+                continue
+            for x in pls.lines[li]:
+                if not done[x]:
+                    score[x] += gain
+                    heapq.heappush(heap, (-score[x], x))
+        plan.append((p, tuple(forced)))
+    return plan
+
+
 class _Searcher:
     """Backtracking over point images into a target: a Plane, or a
     PartialLinearSpace (whose line_through and meet may return None).
-    The pinned points (point -> its one image) are placed first, in order."""
+    Depth d places plan[d]'s point; pinned points have one image each."""
 
     def __init__(
         self,
@@ -147,97 +189,62 @@ class _Searcher:
         self.stats = stats
         self.exclude = exclude
         self.pinned = pinned
-        self.np_ = pls.n_points
-        self.nl = len(pls.lines)
-        self.pmap = [-1] * self.np_
+        self.plan = _placement_plan(pls, pinned)
+        # the lines in the order they are determined, starts[d] before depth d
+        self.det_lines = [li for _, forced in self.plan for li, _ in forced]
+        self.starts = list(itertools.accumulate((len(f) for _, f in self.plan), initial=0))
+        self.pmap = [-1] * pls.n_points
         self.used = [False] * len(plane.point_lines)
-        self.lmap = [-1] * self.nl
-        self.placed = [0] * self.nl
-        self.det_lines: list[int] = []  # currently determined pls lines
+        self.lmap = [-1] * len(pls.lines)
         self.found: list[Embedding] = []
 
     # -- assignment with propagation ------------------------------------------
 
-    def assign(self, p: int, v: int) -> list | None:
-        """Try pmap[p] = v; returns an undo journal or None on conflict."""
+    def assign(self, d: int, v: int) -> bool:
+        """Try v as the image of depth d's point; False, undone, on a conflict."""
         stats = self.stats
         stats.nodes += 1
         if stats.nodes > self.budget:
             raise BudgetExceeded
         # v is unused: candidates() offers no used point, and the pinned
         # frame images are four distinct points placed first
-        pls, plane = self.pls, self.plane
+        p, forced = self.plan[d]
+        pls, plane, lmap = self.pls, self.plane, self.lmap
+        through_v = plane.point_lines[v]
         # against already-determined line images
-        for li in self.det_lines:
-            on_img = self.lmap[li] in plane.point_lines[v]
+        for li in itertools.islice(self.det_lines, self.starts[d]):
+            on_img = lmap[li] in through_v
             if p in pls.line_sets[li]:
                 if not on_img:
                     stats.prunes["incidence"] += 1
-                    return None
+                    return False
             elif on_img:
                 stats.prunes["non_incidence"] += 1
-                return None
-        journal = [p]
+                return False
         self.pmap[p] = v
         self.used[v] = True
-        newly = []
-        for li in pls.point_lines[p]:
-            self.placed[li] += 1
-            if self.placed[li] == 2 and self.lmap[li] < 0:
-                newly.append(li)
-        for li in newly:
-            a, b = (x for x in pls.lines[li] if self.pmap[x] >= 0)
-            img = plane.line_through(self.pmap[a], self.pmap[b])
-            if img is None:
-                stats.prunes["incidence"] += 1
-                self.undo(journal)
-                return None
-            # the image joins the images of li's two placed points; any
-            # further used point on it is a placed point off li.  An image
-            # already taken by another line holds such a point, so line
-            # images stay distinct without a test of their own.
-            if sum(map(self.used.__getitem__, plane.lines[img])) > 2:
-                stats.prunes["non_incidence"] += 1
-                self.undo(journal)
-                return None
-            self.lmap[li] = img
-            self.det_lines.append(li)
-            journal.append(li)
-        return journal
+        for li, a in forced:
+            img = plane.line_through(self.pmap[a], v)
+            # no join is an incidence fault.  The image joins the images of
+            # li's two placed points; any further used point on it is a
+            # placed point off li.  An image already taken by another line
+            # holds such a point, so line images stay distinct without a
+            # test of their own.
+            if img is None or sum(map(self.used.__getitem__, plane.lines[img])) > 2:
+                stats.prunes["incidence" if img is None else "non_incidence"] += 1
+                self.undo(d)
+                return False
+            lmap[li] = img
+        return True
 
-    def undo(self, journal: list) -> None:
-        p = journal[0]
-        for li in journal[1:]:
+    def undo(self, d: int) -> None:
+        p, forced = self.plan[d]
+        for li, _ in forced:
             self.lmap[li] = -1
-            self.det_lines.pop()
-        for li in self.pls.point_lines[p]:
-            self.placed[li] -= 1
         self.used[self.pmap[p]] = False
         self.pmap[p] = -1
 
     # -- search ------------------------------------------------------------------
-
-    def next_point(self) -> int | None:
-        """The first unplaced pinned point; then fail-first: most determined
-        incident lines, then most half-placed lines (placing such a point
-        forces several line images at once)."""
-        for p in self.pinned:
-            if self.pmap[p] < 0:
-                return p
-        best, best_score = None, (-1, -1)
-        for p in range(self.np_):
-            if self.pmap[p] >= 0:
-                continue
-            ndet = nhalf = 0
-            for li in self.pls.point_lines[p]:
-                if self.lmap[li] >= 0:
-                    ndet += 1
-                elif self.placed[li] == 1:
-                    nhalf += 1
-            score = (ndet, nhalf)
-            if score > best_score:
-                best, best_score = p, score
-        return best
 
     def candidates(self, p: int) -> list[int]:
         if p in self.pinned:
@@ -255,33 +262,23 @@ class _Searcher:
         return pool
 
     def dfs(self) -> None:
-        """Depth first over point images.  The stack holds one frame per
-        placed point, [point, candidate iterator, undo journal of its
-        current image], so a source of any size stays within Python's
-        recursion limit."""
-        p = self.next_point()
-        if p is None:
-            self.leaf()
-            return
-        stack = [[p, iter(self.candidates(p)), None]]
-        while stack:
-            frame = stack[-1]
-            p, pool, journal = frame
-            if journal is not None:
-                self.undo(journal)
-            for v in pool:
-                journal = self.assign(p, v)
-                if journal is not None:
-                    break
-            else:
-                stack.pop()
-                continue
-            frame[2] = journal
-            p = self.next_point()
-            if p is None:
+        """Depth first over point images, in the plan's order.  The stack
+        holds one candidate iterator per depth, so a source of any size
+        stays within Python's recursion limit."""
+        if not self.plan:
+            return self.leaf()
+        pools = [iter(self.candidates(self.plan[0][0]))]
+        while pools:
+            d = len(pools) - 1
+            if self.pmap[self.plan[d][0]] >= 0:
+                self.undo(d)
+            # any() stops at the first image that assigns; the pool resumes after it
+            if not any(self.assign(d, v) for v in pools[d]):
+                pools.pop()
+            elif d + 1 == len(self.plan):
                 self.leaf()
             else:
-                stack.append([p, iter(self.candidates(p)), None])
+                pools.append(iter(self.candidates(self.plan[d + 1][0])))
 
     def leaf(self) -> None:
         emb = Embedding(tuple(self.pmap), tuple(self.lmap))

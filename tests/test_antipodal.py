@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,8 +30,38 @@ FANO_LINES = [
 
 
 def test_pls_rejects_two_lines_through_a_pair():
-    with pytest.raises(PLSError):
-        PartialLinearSpace(4, [(0, 1, 2), (0, 1, 3)])
+    for lines, message in [
+        ([(0, 1, 2), (0, 1, 3)], "points (0, 1) lie on two lines (0 and 1)"),
+        ([(0, 1, 2), (3, 2, 1)], "points (1, 2) lie on two lines (0 and 1)"),
+        ([(0, 3), (0, 1, 2), (1, 2, 3)], "points (1, 2) lie on two lines (1 and 2)"),
+    ]:
+        with pytest.raises(PLSError) as err:
+            PartialLinearSpace(4, lines)
+        assert str(err.value) == message
+
+
+def test_pls_joins_two_distinct_collinear_points_only():
+    pls = PartialLinearSpace(5, [(0, 1, 2), (2, 3)])
+    assert [pls.line_through(0, 2), pls.line_through(3, 2), pls.line_through(1, 0)] == [0, 1, 0]
+    assert pls.line_through(0, 3) is None and not pls.collinear(0, 3)
+    assert pls.line_through(4, 0) is None  # a point on no line
+    assert [pls.line_through(-3, 0), pls.line_through(0, -3), pls.line_through(7, 0)] == [None] * 3
+    for p in range(5):
+        assert pls.line_through(p, p) is None
+        assert pls.collinear(p, p)
+
+
+def test_a_pls_of_pg249_lines_builds_in_bounded_memory():
+    # 2,451 points and lines of 50: no table of its 3.0 million collinear pairs
+    lines = pg2(field_new(7, 2)).lines
+    tracemalloc.start()
+    try:
+        pls = PartialLinearSpace(2451, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert pls.line_through(lines[7][3], lines[7][40]) == 7
 
 
 def test_cyclic_order2_validates():

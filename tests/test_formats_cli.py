@@ -82,6 +82,8 @@ PLANE, PLS = formats.plane_from_text, formats.pls_from_text
         (PLANE, "plane n=2 points=7 lines=7\n" + FANO.replace("1 3 5", "1 3 5 6"),
          r"^line 5: row '1 3 5 6' of size 4, expected 3 points$"),
         (PLS, "pls points=3 lines=1\n\n0\n", r"^line 3: row '0' of size 1, expected at least 2 points$"),
+        (PLS, "pls points=4 lines=2\n0 1 2\n\n1 2 3\n",
+         r"^line 4: points \(1, 2\) already lie on the row on line 2$"),
     ],
 )
 def test_plane_and_pls_text_reject_malformed_files(parse, text, match):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import os
 import sys
@@ -55,6 +56,13 @@ def ingested(plane):
     """The same plane read from its incidence rows: same indices, no field,
     so the search on it is the plain one."""
     return plane_from_incidence(plane.lines, plane.order)
+
+
+def relabelled(plane, seed):
+    """The plane's lines as a partial linear space, its points permuted by a
+    seeded draw."""
+    perm = np.random.default_rng(seed).permutation(plane.npoints)
+    return PartialLinearSpace(plane.npoints, [[int(perm[x]) for x in l] for l in plane.lines])
 
 
 def test_normalize_frame_mk_matches_hand_derived_seed():
@@ -144,14 +152,14 @@ def test_the_engine_offers_unused_points_and_forces_distinct_line_images(monkeyp
     real = search._Searcher.assign
     offered = []
 
-    def checked(self, p, v):
-        assert not self.used[v], (p, v)
+    def checked(self, d, v):
+        assert not self.used[v], (d, v)
         offered.append(v)
-        journal = real(self, p, v)
-        if journal is not None:
-            images = [self.lmap[li] for li in self.det_lines]
+        ok = real(self, d, v)
+        if ok:
+            images = [l for l in self.lmap if l >= 0]
             assert len(set(images)) == len(images), images
-        return journal
+        return ok
 
     monkeypatch.setattr(search._Searcher, "assign", checked)
 
@@ -180,8 +188,7 @@ def test_a_source_deeper_than_the_recursion_limit_is_searched():
     # one stack frame per placed point would need 73 here: the engine keeps
     # its own stack, so 40 frames above the caller are enough
     plane = plane_of(8)
-    perm = np.random.default_rng(8).permutation(plane.npoints)
-    source = PartialLinearSpace(plane.npoints, [[int(perm[x]) for x in l] for l in plane.lines])
+    source = relabelled(plane, 8)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
@@ -190,6 +197,68 @@ def test_a_source_deeper_than_the_recursion_limit_is_searched():
         sys.setrecursionlimit(limit)
     assert out.status == "found" and out.stats.nodes == 73
     assert verify_embedding(source, plane, out.embeddings[0])[0]
+
+
+def test_a_relabelled_pg216_is_searched_as_pinned():
+    # a 273-point source: its counts and its first embedding are pinned whole
+    plane = plane_of(16)
+    out = embed_search(relabelled(plane, 16), plane)
+    assert out.status == "found" and out.stats.nodes == 332
+    assert out.stats.prunes == {"incidence": 5, "non_incidence": 2}
+    emb = out.embeddings[0]
+    assert emb.point_map[:10] == (17, 1, 0, 34, 106, 26, 226, 155, 248, 180)
+    assert emb.line_map[:10] == (191, 193, 123, 270, 15, 56, 133, 39, 176, 25)
+    digest = hashlib.sha256(repr((emb.point_map, emb.line_map)).encode()).hexdigest()
+    assert digest == "b5bcfc1385a575e1caf6e1f1e0e41757b3f15036b77bb7a33b587bdaf922d5f5"
+
+
+def scanned_plan(pls, pinned):
+    """The reference for search._placement_plan: the engine's former scan of
+    every unplaced point at every node.  It takes the first unplaced pinned
+    point, else the most lines with two placed points, then the most with
+    one, the least index on a tie.  A depth forces the lines its point is
+    the second placed point of, each with the first."""
+    placed = [0] * len(pls.lines)
+    done = [False] * pls.n_points
+    plan = []
+    for _ in range(pls.n_points):
+        p = next((x for x in pinned if not done[x]), None)
+        if p is None:
+            best_score = (-1, -1)
+            for x in range(pls.n_points):
+                if done[x]:
+                    continue
+                ndet = sum(placed[li] >= 2 for li in pls.point_lines[x])
+                nhalf = sum(placed[li] == 1 for li in pls.point_lines[x])
+                if (ndet, nhalf) > best_score:
+                    p, best_score = x, (ndet, nhalf)
+        done[p] = True
+        forced = []
+        for li in pls.point_lines[p]:
+            placed[li] += 1
+            if placed[li] == 2:
+                forced.append((li, next(x for x in pls.lines[li] if done[x] and x != p)))
+        plan.append((p, tuple(forced)))
+    return plan
+
+
+PLAN_SOURCES = {
+    "mk": MK,
+    "ap3": AP3,
+    "pg24-complement": antipodal_from_pg24(),
+    **{f"pg{m}": PartialLinearSpace(plane_of(m).npoints, plane_of(m).lines) for m in (2, 3, 4)},
+    "pg8-relabelled": relabelled(plane_of(8), 8),
+}
+
+
+@pytest.mark.parametrize("pin", [True, False], ids=["pinned", "unpinned"])
+@pytest.mark.parametrize("name", PLAN_SOURCES)
+def test_the_placement_plan_matches_the_per_node_scan(name, pin):
+    pls = PLAN_SOURCES[name]
+    # embed_search pins normalize_frame's seed, in its order, to a frame;
+    # the plan reads only the pinned points, not their images
+    pinned = dict(zip(normalize_frame(pls), (0, 1, 2, 3))) if pin else {}
+    assert search._placement_plan(pls, pinned) == scanned_plan(pls, pinned)
 
 
 def test_search_determinism():
